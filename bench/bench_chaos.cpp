@@ -160,7 +160,6 @@ main(int argc, char** argv)
             ServiceConfig serviceConfig;
             serviceConfig.maxQueueDepth =
                 static_cast<std::size_t>(requestCount) + 8;
-            serviceConfig.execution.numThreads = 1;
             serviceConfig.fleet.coreCount = options.cores;
             serviceConfig.fleet.policy = PlacementPolicy::Affinity;
             serviceConfig.fleet.slotsPerCore = 1;

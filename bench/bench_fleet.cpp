@@ -204,9 +204,6 @@ main(int argc, char** argv)
         ServiceConfig serviceConfig;
         serviceConfig.maxQueueDepth =
             static_cast<std::size_t>(requestCount) + 8;
-        // Serial kernels: parallelism comes from the fleet's job-level
-        // concurrency, not from intra-solve threading.
-        serviceConfig.execution.numThreads = 1;
         serviceConfig.fleet.coreCount = coreCount;
         serviceConfig.fleet.policy = PlacementPolicy::Affinity;
         serviceConfig.fleet.slotsPerCore = 1;  // one device per core

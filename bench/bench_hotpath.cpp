@@ -1,32 +1,28 @@
 /**
  * @file
- * Hot-path profile of the indirect (PCG) backend, three sweeps over
- * the largest generated suite problem:
+ * Hot-path profile of the indirect (PCG) backend on the largest
+ * generated suite problem, in two parts:
  *
- *  1. threads  — wall clock and per-phase profiler counters at each
- *     thread count (SpMV passes, fused CG updates, preconditioner,
- *     reductions), with the bitwise-determinism cross-check;
- *  2. ISA      — single-thread solve at every supported kernel level
+ *  1. profile — wall clock, ADMM/PCG iteration counts, objective and
+ *     per-phase profiler counters (SpMV passes, fused CG updates,
+ *     preconditioner, reductions) of one solve at the active ISA;
+ *  2. ISA     — the same solve at every supported kernel level
  *     (scalar → AVX2 → AVX-512) via simd::forceIsaLevel, with the
- *     per-phase scalar-vs-SIMD speedups derived from the counters;
- *  3. precision — fp64 vs mixed-fp32 (fp32-storage / fp64-accumulate
- *     PCG inside iterative refinement) at the default ISA level.
+ *     per-phase scalar-vs-SIMD speedups derived from the counters.
  *
- * The JSON output is the CI perf-smoke artifact (committed snapshot:
- * results/BENCH_hotpath.json). The legacy top-level keys (problem, n,
- * m, nnz, seed, runs) are stable; the header also carries the
- * detected/compiled/active ISA levels and the precision mode, and the
- * new sweeps land in "isa_runs" / "simd_speedup" / "precision_runs".
+ * Every solve runs serially on the calling thread. The JSON output is
+ * the CI perf-smoke artifact (committed snapshot:
+ * results/BENCH_hotpath.json): the problem/size/seed keys, the
+ * detected/compiled/active ISA levels, "profile", "isa_runs" and
+ * "simd_speedup".
  *
  * Flags:
  *   --quick         smaller problem / fewer reps (CI smoke)
  *   --json          JSON object on stdout (machine-readable artifact)
  *   --seed=N        generator seed offset (default 0)
  *   --sizes=N       suite sizes per domain to choose from (default 6)
- *   --threads=LIST  comma-separated thread counts (default 1,2,4,8)
  */
 
-#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -35,7 +31,6 @@
 #include "arch/cpu_features.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "core/rsqp.hpp"
 #include "linalg/simd_kernels.hpp"
 
@@ -50,7 +45,6 @@ struct Options
     bool json = false;
     std::uint64_t seed = 0;
     Index sizesPerDomain = 6;
-    std::vector<Index> threads = {1, 2, 4, 8};
 };
 
 Options
@@ -69,51 +63,23 @@ parseOptions(int argc, char** argv)
         } else if (arg.rfind("--sizes=", 0) == 0) {
             options.sizesPerDomain =
                 static_cast<Index>(std::stoi(arg.substr(8)));
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            options.threads.clear();
-            std::stringstream ss(arg.substr(10));
-            std::string item;
-            while (std::getline(ss, item, ',')) {
-                if (item.empty() ||
-                    item.find_first_not_of("0123456789") !=
-                        std::string::npos) {
-                    std::cerr << "--threads expects a comma-separated"
-                                 " list of positive integers, got: "
-                              << item << "\n";
-                    std::exit(2);
-                }
-                const Index count =
-                    static_cast<Index>(std::stoi(item));
-                if (count < 1) {
-                    std::cerr << "--threads values must be >= 1\n";
-                    std::exit(2);
-                }
-                options.threads.push_back(count);
-            }
         } else {
             std::cerr << "unknown flag: " << arg << "\n"
-                      << "flags: --quick --json --seed=N --sizes=N "
-                         "--threads=LIST\n";
+                      << "flags: --quick --json --seed=N --sizes=N\n";
             std::exit(2);
         }
     }
-    if (options.threads.empty() || options.threads.front() != 1)
-        options.threads.insert(options.threads.begin(), 1);
     return options;
 }
 
-/** One measured solve (fixed thread count, ISA level or precision). */
+/** One measured solve (best of the reps) at one ISA level. */
 struct Run
 {
-    Index threads = 1;
     double solveSeconds = 0.0;
     double kktSeconds = 0.0;
     Count pcgIterations = 0;
     Index admmIterations = 0;
-    Count refinementSweeps = 0;
-    Count fp64Rescues = 0;
     Real objective = 0.0;
-    double speedup = 1.0;
     HotPathProfile hotPath;
     std::string backend;  ///< first-order engine label (telemetry)
 };
@@ -144,8 +110,6 @@ measureSolve(const QpProblem& qp, const OsqpSettings& settings,
             run.kktSeconds = result.info.kktSolveTime;
             run.pcgIterations = result.info.pcgIterationsTotal;
             run.admmIterations = result.info.iterations;
-            run.refinementSweeps = result.info.refinementSweepsTotal;
-            run.fp64Rescues = result.info.fp64Rescues;
             run.objective = result.info.objective;
             run.hotPath = result.info.hotPath;
             run.backend = result.info.telemetry.backend;
@@ -183,9 +147,8 @@ main(int argc, char** argv)
     const Index sizes = options.quick ? 3 : options.sizesPerDomain;
     const int reps = options.quick ? 2 : 3;
 
-    // The largest problem (by total non-zeros) of the reduced suite —
-    // the instance where the parallel row-gather has the most rows to
-    // split and serial overheads matter least.
+    // The largest problem (by total non-zeros) of the reduced suite:
+    // the instance where serial overheads matter least.
     const std::vector<ProblemSpec> specs = benchmarkSuite(sizes);
     const ProblemSpec* largest = nullptr;
     QpProblem qp;
@@ -207,53 +170,19 @@ main(int argc, char** argv)
     OsqpSettings settings;
     settings.backend = KktBackend::IndirectPcg;
 
-    // Sweep 1: thread counts at the active ISA level.
-    std::vector<Run> runs;
-    for (Index threads : options.threads) {
-        NumThreadsScope scope(threads);
-        Run run = measureSolve(qp, settings, reps);
-        run.threads = threads;
-        runs.push_back(run);
-    }
-    for (Run& run : runs)
-        if (run.solveSeconds > 0.0)
-            run.speedup = runs.front().solveSeconds / run.solveSeconds;
+    // Part 1: the phase profile at the active ISA level.
+    const Run profile = measureSolve(qp, settings, reps);
 
-    // The solver is bitwise-deterministic across thread counts; a
-    // drifting objective here means the deterministic reduction
-    // contract broke.
-    for (const Run& run : runs) {
-        if (run.objective != runs.front().objective) {
-            std::cerr << "objective drift at " << run.threads
-                      << " threads: " << run.objective << " vs "
-                      << runs.front().objective << "\n";
-            return 1;
-        }
-    }
-
-    // Sweep 2: single-thread solve at every supported ISA level.
+    // Part 2: the same solve at every supported ISA level.
     const std::vector<IsaLevel> levels = supportedIsaLevels();
     std::vector<Run> isa_runs;
-    {
-        NumThreadsScope scope(1);
-        for (IsaLevel level : levels) {
-            simd::forceIsaLevel(level);
-            isa_runs.push_back(measureSolve(qp, settings, reps));
-        }
-        simd::resetIsaLevel();
+    for (IsaLevel level : levels) {
+        simd::forceIsaLevel(level);
+        isa_runs.push_back(measureSolve(qp, settings, reps));
     }
+    simd::resetIsaLevel();
     const Run& isa_scalar = isa_runs.front();
     const Run& isa_best = isa_runs.back();
-
-    // Sweep 3: fp64 vs mixed-fp32 at the default ISA level, 1 thread.
-    std::vector<Run> precision_runs;
-    {
-        NumThreadsScope scope(1);
-        precision_runs.push_back(measureSolve(qp, settings, reps));
-        OsqpSettings mixed = settings;
-        mixed.execution.precision = PrecisionMode::MixedFp32;
-        precision_runs.push_back(measureSolve(qp, mixed, reps));
-    }
 
     const std::string isa_detected = isaLevelName(detectedIsaLevel());
     const std::string isa_compiled = isaLevelName(compiledIsaLevel());
@@ -273,26 +202,18 @@ main(int argc, char** argv)
                   << "  \"isa_compiled\": \"" << isa_compiled
                   << "\",\n"
                   << "  \"isa_active\": \"" << isa_active << "\",\n"
-                  << "  \"precision\": \""
-                  << precisionModeName(PrecisionMode::Fp64) << "\",\n"
                   << "  \"backend\": \""
-                  << bench::jsonEscape(runs.front().backend) << "\",\n"
-                  << "  \"runs\": [\n";
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            const Run& run = runs[i];
-            std::cout << "    {\"threads\": " << run.threads
-                      << ", \"solve_seconds\": "
-                      << formatDouble(run.solveSeconds, 6)
-                      << ", \"kkt_seconds\": "
-                      << formatDouble(run.kktSeconds, 6)
-                      << ", \"pcg_iterations\": " << run.pcgIterations
-                      << ", \"speedup\": "
-                      << formatDouble(run.speedup, 3)
-                      << ", \"hot_path\": " << run.hotPath.toJson()
-                      << "}" << (i + 1 < runs.size() ? "," : "")
-                      << "\n";
-        }
-        std::cout << "  ],\n"
+                  << bench::jsonEscape(profile.backend) << "\",\n"
+                  << "  \"profile\": {\"solve_seconds\": "
+                  << formatDouble(profile.solveSeconds, 6)
+                  << ", \"kkt_seconds\": "
+                  << formatDouble(profile.kktSeconds, 6)
+                  << ", \"admm_iterations\": " << profile.admmIterations
+                  << ", \"pcg_iterations\": " << profile.pcgIterations
+                  << ", \"objective\": "
+                  << formatDouble(profile.objective, 9)
+                  << ", \"hot_path\": " << profile.hotPath.toJson()
+                  << "},\n"
                   << "  \"isa_runs\": [\n";
         for (std::size_t i = 0; i < isa_runs.size(); ++i) {
             const Run& run = isa_runs[i];
@@ -338,62 +259,37 @@ main(int argc, char** argv)
                          phaseMs(isa_best.hotPath,
                                  ProfilePhase::Reduction)),
                    3)
-            << "},\n"
-            << "  \"precision_runs\": [\n";
-        for (std::size_t i = 0; i < precision_runs.size(); ++i) {
-            const Run& run = precision_runs[i];
-            const PrecisionMode mode = i == 0
-                                           ? PrecisionMode::Fp64
-                                           : PrecisionMode::MixedFp32;
-            std::cout << "    {\"precision\": \""
-                      << precisionModeName(mode)
-                      << "\", \"solve_seconds\": "
-                      << formatDouble(run.solveSeconds, 6)
-                      << ", \"admm_iterations\": "
-                      << run.admmIterations
-                      << ", \"pcg_iterations\": " << run.pcgIterations
-                      << ", \"refinement_sweeps\": "
-                      << run.refinementSweeps
-                      << ", \"fp64_rescues\": " << run.fp64Rescues
-                      << ", \"objective\": "
-                      << formatDouble(run.objective, 9) << "}"
-                      << (i + 1 < precision_runs.size() ? "," : "")
-                      << "\n";
-        }
-        std::cout << "  ]\n}\n";
+            << "}\n}\n";
         return 0;
     }
 
     std::cout << "# hot-path profile: " << largest->name
               << " (n=" << qp.numVariables()
               << ", m=" << qp.numConstraints()
-              << ", nnz=" << qp.totalNnz()
-              << "; host threads: " << hardwareConcurrency()
-              << " hardware; isa " << isa_active << " of "
-              << isa_detected << " detected)\n";
+              << ", nnz=" << qp.totalNnz() << "; isa " << isa_active
+              << " of " << isa_detected << " detected)\n";
     const auto ms = [](double value) {
         return formatDouble(value, 2);
     };
-    TextTable table({"threads", "solve_s", "kkt_s", "pcg_iters",
-                     "speedup", "spmv_p_ms", "spmv_a_ms", "spmv_at_ms",
-                     "fused_ms", "precond_ms", "reduce_ms"});
-    for (const Run& run : runs) {
-        const HotPathProfile& hp = run.hotPath;
-        table.addRow({std::to_string(run.threads),
-                      formatDouble(run.solveSeconds, 6),
-                      formatDouble(run.kktSeconds, 6),
-                      std::to_string(run.pcgIterations),
-                      formatDouble(run.speedup, 2),
-                      ms(phaseMs(hp, ProfilePhase::SpmvP)),
-                      ms(phaseMs(hp, ProfilePhase::SpmvA)),
-                      ms(phaseMs(hp, ProfilePhase::SpmvAt)),
-                      ms(phaseMs(hp, ProfilePhase::FusedVectorOps)),
-                      ms(phaseMs(hp, ProfilePhase::Precond)),
-                      ms(phaseMs(hp, ProfilePhase::Reduction))});
-    }
+    const HotPathProfile& hp = profile.hotPath;
+    TextTable table({"solve_s", "kkt_s", "admm_iters", "pcg_iters",
+                     "spmv_p_ms", "spmv_a_ms", "spmv_at_ms", "fused_ms",
+                     "precond_ms", "reduce_ms"});
+    table.addRow({formatDouble(profile.solveSeconds, 6),
+                  formatDouble(profile.kktSeconds, 6),
+                  std::to_string(profile.admmIterations),
+                  std::to_string(profile.pcgIterations),
+                  ms(phaseMs(hp, ProfilePhase::SpmvP)),
+                  ms(phaseMs(hp, ProfilePhase::SpmvA)),
+                  ms(phaseMs(hp, ProfilePhase::SpmvAt)),
+                  ms(phaseMs(hp, ProfilePhase::FusedVectorOps)),
+                  ms(phaseMs(hp, ProfilePhase::Precond)),
+                  ms(phaseMs(hp, ProfilePhase::Reduction))});
     table.print(std::cout);
+    std::cout << "objective " << formatDouble(profile.objective, 9)
+              << "\n";
 
-    std::cout << "\n# ISA sweep (1 thread): per-phase speedup vs "
+    std::cout << "\n# ISA sweep: per-phase speedup vs "
                  "forced-scalar kernels\n";
     TextTable isa_table({"isa", "solve_s", "kkt_s", "spmv_ms",
                          "fused_ms", "precond_ms", "reduce_ms",
@@ -419,22 +315,5 @@ main(int argc, char** argv)
     }
     isa_table.print(std::cout);
 
-    std::cout << "\n# precision sweep (1 thread, default ISA)\n";
-    TextTable prec_table({"precision", "solve_s", "admm_iters",
-                          "pcg_iters", "refine_sweeps", "fp64_rescues",
-                          "objective"});
-    for (std::size_t i = 0; i < precision_runs.size(); ++i) {
-        const Run& run = precision_runs[i];
-        prec_table.addRow(
-            {precisionModeName(i == 0 ? PrecisionMode::Fp64
-                                      : PrecisionMode::MixedFp32),
-             formatDouble(run.solveSeconds, 6),
-             std::to_string(run.admmIterations),
-             std::to_string(run.pcgIterations),
-             std::to_string(run.refinementSweeps),
-             std::to_string(run.fp64Rescues),
-             formatDouble(run.objective, 9)});
-    }
-    prec_table.print(std::cout);
     return 0;
 }

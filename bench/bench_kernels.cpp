@@ -14,7 +14,6 @@
 
 #include "arch/cpu_features.hpp"
 #include "arch/program_builder.hpp"
-#include "common/thread_pool.hpp"
 #include "core/rsqp.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "linalg/vector_ops.hpp"
@@ -232,13 +231,12 @@ BM_MachineVectorEngine(benchmark::State& state)
 BENCHMARK(BM_MachineVectorEngine)->Arg(1024)->Arg(16384);
 
 void
-BM_ParallelDot(benchmark::State& state)
+BM_Dot(benchmark::State& state)
 {
-    // dot() thread scaling; range(0) is the thread count, range(1)
-    // the vector length (above/below kParallelThreshold).
-    NumThreadsScope scope(static_cast<Index>(state.range(0)));
+    // range(0) is the vector length (above/below kParallelThreshold,
+    // i.e. chunked vs single-range reduction order).
     Rng rng(3);
-    Vector x(static_cast<std::size_t>(state.range(1)));
+    Vector x(static_cast<std::size_t>(state.range(0)));
     Vector y(x.size());
     for (Real& v : x)
         v = rng.normal();
@@ -251,19 +249,13 @@ BM_ParallelDot(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<long>(x.size()));
 }
-BENCHMARK(BM_ParallelDot)
-    ->Args({1, 1 << 20})
-    ->Args({2, 1 << 20})
-    ->Args({4, 1 << 20})
-    ->Args({8, 1 << 20})
-    ->Args({8, 4096});
+BENCHMARK(BM_Dot)->Arg(1 << 20)->Arg(4096);
 
 void
-BM_ParallelAxpy(benchmark::State& state)
+BM_Axpy(benchmark::State& state)
 {
-    NumThreadsScope scope(static_cast<Index>(state.range(0)));
     Rng rng(4);
-    Vector x(static_cast<std::size_t>(state.range(1)));
+    Vector x(static_cast<std::size_t>(state.range(0)));
     Vector y(x.size());
     for (Real& v : x)
         v = rng.normal();
@@ -276,21 +268,16 @@ BM_ParallelAxpy(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<long>(x.size()));
 }
-BENCHMARK(BM_ParallelAxpy)
-    ->Args({1, 1 << 20})
-    ->Args({4, 1 << 20})
-    ->Args({8, 1 << 20});
+BENCHMARK(BM_Axpy)->Arg(1 << 20);
 
 void
-BM_ThreadedMachineSpmv(benchmark::State& state)
+BM_MachineSpmv(benchmark::State& state)
 {
-    // The simulated SpMV engine with the lane-chain fan-out enabled;
-    // range(0) is ArchConfig::numThreads.
+    // One SpMV instruction on the simulated engine (lane-stream walk).
     const CsrMatrix csr = benchMatrix(200);
     ArchConfig config;
     config.c = 64;
     config.structures = StructureSet::baseline(64);
-    config.execution.numThreads = static_cast<Index>(state.range(0));
     Machine machine(config);
     const SparsityString str = encodeMatrix(csr, config.c);
     const Schedule schedule = scheduleString(str, config.structures);
@@ -314,7 +301,7 @@ BM_ThreadedMachineSpmv(benchmark::State& state)
     }
     state.SetItemsProcessed(state.iterations() * csr.nnz());
 }
-BENCHMARK(BM_ThreadedMachineSpmv)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_MachineSpmv);
 
 void
 BM_SolveBatch(benchmark::State& state)
@@ -360,8 +347,7 @@ BENCHMARK(BM_SolutionPolish)->Arg(60)->Arg(200);
  * Forced-ISA sweep of the vectorized PCG kernels. Registered from
  * main() once per level in supportedIsaLevels(), so the benchmark
  * names carry the level ("ForcedIsaDot/scalar", ".../avx2", ...) and
- * one run compares every level on this host. Single-threaded: the
- * sweep isolates lane-level speedup from thread scaling.
+ * one run compares every level on this host.
  */
 void
 registerForcedIsaBenchmarks(IsaLevel level)
@@ -372,7 +358,6 @@ registerForcedIsaBenchmarks(IsaLevel level)
     benchmark::RegisterBenchmark(
         ("ForcedIsaDot/" + suffix).c_str(),
         [level](benchmark::State& state) {
-            NumThreadsScope scope(1);
             simd::forceIsaLevel(level);
             Rng rng(3);
             Vector x(kLen), y(kLen);
@@ -393,7 +378,6 @@ registerForcedIsaBenchmarks(IsaLevel level)
         ("ForcedIsaFusedUpdate/" + suffix).c_str(),
         [level](benchmark::State& state) {
             // x -= alpha p fused with r·Kp — the CG descent update.
-            NumThreadsScope scope(1);
             simd::forceIsaLevel(level);
             Rng rng(5);
             Vector p(kLen), x(kLen), kp(kLen), r(kLen);
@@ -413,7 +397,6 @@ registerForcedIsaBenchmarks(IsaLevel level)
     benchmark::RegisterBenchmark(
         ("ForcedIsaPrecondApply/" + suffix).c_str(),
         [level](benchmark::State& state) {
-            NumThreadsScope scope(1);
             simd::forceIsaLevel(level);
             Rng rng(7);
             Vector inv_diag(kLen), r(kLen), d(kLen);
@@ -433,7 +416,6 @@ registerForcedIsaBenchmarks(IsaLevel level)
     benchmark::RegisterBenchmark(
         ("ForcedIsaCsrSpmv/" + suffix).c_str(),
         [level](benchmark::State& state) {
-            NumThreadsScope scope(1);
             simd::forceIsaLevel(level);
             const CsrMatrix csr = benchMatrix(200);
             Rng rng(9);
@@ -461,9 +443,6 @@ main(int argc, char** argv)
                                 isaLevelName(compiledIsaLevel()));
     benchmark::AddCustomContext("rsqp_isa_active",
                                 isaLevelName(simd::activeIsaLevel()));
-    benchmark::AddCustomContext(
-        "rsqp_precision_default",
-        precisionModeName(PrecisionMode::Fp64));
     for (IsaLevel level : supportedIsaLevels())
         registerForcedIsaBenchmarks(level);
     benchmark::Initialize(&argc, argv);

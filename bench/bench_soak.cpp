@@ -302,7 +302,6 @@ main(int argc, char** argv)
 
     ServiceConfig serviceConfig;
     serviceConfig.maxQueueDepth = 64;
-    serviceConfig.execution.numThreads = 1;
     serviceConfig.fleet.coreCount = options.cores;
     serviceConfig.fleet.policy = PlacementPolicy::Affinity;
     serviceConfig.fleet.slotsPerCore = 1;

@@ -147,11 +147,6 @@ main(int argc, char** argv)
     // relies on) and affords several times more pairs per CI minute.
     settings.maxIter = 10;
     settings.checkInterval = 25;
-    // One worker: every extra pool thread widens the exposure to
-    // scheduler preemption (a stalled worker stalls the parallelFor
-    // barrier for all of them) without changing the per-iteration
-    // telemetry cost being measured.
-    settings.execution.numThreads = 1;
 
     telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
 

@@ -1,9 +1,8 @@
 /**
  * @file
  * Host-threading scaling study: wall clock and speedup versus thread
- * count for the three threaded hot paths — the simulated SpMV engine
- * (lane-chain fan-out), the parallel vector kernels (dot / axpy), and
- * solveBatch over independent QP instances.
+ * count of solveBatch over independent QP instances — the threading
+ * that pays here, since each solve itself runs serially.
  *
  * Flags:
  *   --quick         small sizes / few reps (CI smoke)
@@ -19,12 +18,10 @@
 #include <string>
 #include <vector>
 
-#include "arch/program_builder.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "core/rsqp.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace
 {
@@ -105,96 +102,6 @@ struct Row
     double speedup = 1.0;
 };
 
-/** Simulated SpMV: one large matrix, several applications per run. */
-std::vector<Row>
-benchSpmv(const Options& options)
-{
-    const Index scale = options.quick ? 120 : 400;
-    const int spmvs = 8;
-    const int reps = options.quick ? 3 : 8;
-
-    const QpProblem qp = generateProblem(Domain::Svm, scale, 7);
-    const CsrMatrix csr = CsrMatrix::fromCsc(qp.a);
-
-    std::vector<Row> rows;
-    for (Index threads : options.threads) {
-        ArchConfig config;
-        config.c = 64;
-        config.structures = StructureSet::baseline(64);
-        config.execution.numThreads = threads;
-        Machine machine(config);
-
-        const SparsityString str = encodeMatrix(csr, config.c);
-        const Schedule schedule =
-            scheduleString(str, config.structures);
-        const PackedMatrix packed =
-            packMatrix(csr, str, schedule, config.structures);
-        const CvbPlan plan =
-            fullDuplicationPlan(config.c, csr.cols());
-        const Index mat = machine.addMatrix(packed, plan, "M");
-        const Index v_in = machine.addVector(csr.cols());
-        const Index v_out = machine.addVector(csr.rows());
-        const Index hbm_in = machine.addHbmVector(
-            Vector(static_cast<std::size_t>(csr.cols()), 1.0));
-
-        ProgramBuilder asmb;
-        asmb.loadVec(v_in, hbm_in);
-        asmb.vecDup(mat, v_in);
-        for (int k = 0; k < spmvs; ++k)
-            asmb.spmv(v_out, mat);
-        asmb.halt();
-        const Program program = asmb.finish();
-
-        Row row;
-        row.kernel = "machine_spmv";
-        row.threads = threads;
-        row.seconds = timeBest(reps, [&] { machine.run(program); });
-        rows.push_back(row);
-    }
-    return rows;
-}
-
-/** Parallel vector kernels on a large dense vector. */
-std::vector<Row>
-benchVectorOps(const Options& options)
-{
-    const Index n = options.quick ? (1 << 18) : (1 << 22);
-    const int reps = options.quick ? 3 : 8;
-    const int inner = 16;
-
-    Rng rng(11);
-    Vector x(static_cast<std::size_t>(n));
-    Vector y(static_cast<std::size_t>(n));
-    for (Real& v : x)
-        v = rng.normal();
-    for (Real& v : y)
-        v = rng.normal();
-
-    std::vector<Row> rows;
-    for (Index threads : options.threads) {
-        NumThreadsScope scope(threads);
-        Row dot_row;
-        dot_row.kernel = "vector_dot";
-        dot_row.threads = threads;
-        volatile Real sink = 0.0;
-        dot_row.seconds = timeBest(reps, [&] {
-            for (int k = 0; k < inner; ++k)
-                sink = sink + dot(x, y);
-        });
-        rows.push_back(dot_row);
-
-        Row axpy_row;
-        axpy_row.kernel = "vector_axpy";
-        axpy_row.threads = threads;
-        axpy_row.seconds = timeBest(reps, [&] {
-            for (int k = 0; k < inner; ++k)
-                axpy(1.0 / 1024.0, x, y);
-        });
-        rows.push_back(axpy_row);
-    }
-    return rows;
-}
-
 /** solveBatch over independent QP instances. */
 std::vector<Row>
 benchBatch(const Options& options)
@@ -258,11 +165,7 @@ main(int argc, char** argv)
 {
     const Options options = parseOptions(argc, argv);
 
-    std::vector<Row> rows = benchSpmv(options);
-    const std::vector<Row> vec_rows = benchVectorOps(options);
-    rows.insert(rows.end(), vec_rows.begin(), vec_rows.end());
-    const std::vector<Row> batch_rows = benchBatch(options);
-    rows.insert(rows.end(), batch_rows.begin(), batch_rows.end());
+    std::vector<Row> rows = benchBatch(options);
     fillSpeedups(rows);
 
     if (options.json) {
@@ -287,7 +190,7 @@ main(int argc, char** argv)
         table.addRow({row.kernel, std::to_string(row.threads),
                       formatDouble(row.seconds, 6),
                       formatDouble(row.speedup, 2)});
-    std::cout << "# threaded hot-path scaling (host threads: "
+    std::cout << "# solveBatch scaling (host threads: "
               << hardwareConcurrency() << " hardware)\n";
     if (options.csv)
         table.printCsv(std::cout);

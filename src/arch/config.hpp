@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "common/execution.hpp"
 #include "common/fault_injection.hpp"
 #include "common/types.hpp"
 #include "encoding/mac_structure.hpp"
@@ -42,32 +41,13 @@ struct ArchConfig
     bool compressedCvb = true;
     /** Evaluate the datapath in FP32 like the physical MAC trees. */
     bool fp32Datapath = false;
-    /**
-     * Execution resources of the simulation host (threads simulating
-     * the C-wide datapath; 0 = hardware concurrency, 1 = serial).
-     * The cycle model and the numeric results are identical at every
-     * setting: SpMV partitions on carry-chain boundaries (exact), and
-     * the machine's vector reductions pick their summation order by
-     * vector length alone — large vectors use the fixed-grain chunked
-     * order even at numThreads = 1, which differs in rounding from
-     * the retired pre-threading left-to-right loop.
-     */
-    ExecutionConfig execution;
-
-    /** Effective thread count of the simulation host. */
-    Index
-    resolvedNumThreads() const
-    {
-        return execution.numThreads;
-    }
-
     /** Cycle-model constants. */
     ArchTimings timings;
     /**
      * Seeded soft-error injection into the simulated HBM streams and
      * MAC-tree outputs (fault-tolerance testing only; off by default).
      * Fault positions are a pure function of (seed, run, stream,
-     * word), so an injected run is reproducible at any numThreads.
+     * word), so an injected run is reproducible.
      */
     FaultInjectionConfig faultInjection;
 

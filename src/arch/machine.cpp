@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <sstream>
 
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace rsqp
@@ -74,20 +72,6 @@ Machine::addMatrix(const PackedMatrix& packed, CvbPlan plan,
             compiled.segments.push_back(flat_seg);
         }
     }
-
-    // Precompute the independent accumulation chains: a carry never
-    // crosses a segment with accumulate == false, so those segments
-    // are the legal split points of the parallel SpMV execution.
-    for (std::size_t s = 0; s < compiled.segments.size(); ++s)
-        if (!compiled.segments[s].accumulate)
-            compiled.chainStarts.push_back(static_cast<Index>(s));
-    // Chain 0 must start at segment 0 even if the stream opens with an
-    // accumulate segment (a carry into nothing, executed with carry=0
-    // by the serial walk) — otherwise execSpmv would skip the leading
-    // segments entirely.
-    if (!compiled.segments.empty() &&
-        (compiled.chainStarts.empty() || compiled.chainStarts.front() != 0))
-        compiled.chainStarts.insert(compiled.chainStarts.begin(), 0);
 
     matrices_.push_back(std::move(compiled));
     return static_cast<Index>(matrices_.size()) - 1;
@@ -205,14 +189,9 @@ Machine::execSpmv(const Instruction& instr)
                 "spmv: destination length mismatch");
     const Vector& x = matrix.cvbVector;
 
-    const Index num_chains =
-        static_cast<Index>(matrix.chainStarts.size());
-    const auto num_segments = static_cast<Index>(matrix.segments.size());
-
     // Soft-error model for the matrix stream: faults land on the HBM
     // words as they are burst in, i.e. per flat position — decided up
-    // front on the dispatch thread so the parallel chain walk below
-    // sees one consistent corrupted stream at every numThreads.
+    // front, before the lane-stream walk below.
     const std::vector<Real>* stream_values = &matrix.flatValues;
     Vector corrupted_values;
     if (faultInjector_ != nullptr) {
@@ -223,64 +202,37 @@ Machine::execSpmv(const Instruction& instr)
     }
     const std::vector<Real>& values = *stream_values;
 
-    // Execute the accumulation chains [cb, ce) in stream order. Chains
-    // are mutually independent (no carry crosses a chain start, each
-    // chain emits a disjoint set of rows), so any grouping of chains
-    // onto threads is bitwise-identical to the serial stream.
-    std::function<void(Index, Index)> run_chains = [&](Index cb,
-                                                       Index ce) {
-        const Index seg_begin =
-            matrix.chainStarts[static_cast<std::size_t>(cb)];
-        const Index seg_end = ce < num_chains
-            ? matrix.chainStarts[static_cast<std::size_t>(ce)]
-            : num_segments;
-        if (config_.fp32Datapath) {
-            // FP32 MAC trees: accumulate in float like the silicon.
-            float carry = 0.0f;
-            for (Index si = seg_begin; si < seg_end; ++si) {
-                const auto& seg =
-                    matrix.segments[static_cast<std::size_t>(si)];
-                float acc = seg.accumulate ? carry : 0.0f;
-                for (Index p = seg.begin; p < seg.end; ++p)
-                    acc += static_cast<float>(
-                               values[static_cast<std::size_t>(p)]) *
-                        static_cast<float>(x[static_cast<std::size_t>(
-                            matrix.flatCols[
-                                static_cast<std::size_t>(p)])]);
-                if (seg.emit && seg.row >= 0)
-                    dst[static_cast<std::size_t>(seg.row)] = acc;
-                else
-                    carry = acc;
-            }
-        } else {
-            Real carry = 0.0;
-            for (Index si = seg_begin; si < seg_end; ++si) {
-                const auto& seg =
-                    matrix.segments[static_cast<std::size_t>(si)];
-                Real acc = seg.accumulate ? carry : 0.0;
-                for (Index p = seg.begin; p < seg.end; ++p)
-                    acc += values[static_cast<std::size_t>(p)] *
-                        x[static_cast<std::size_t>(
-                            matrix.flatCols[
-                                static_cast<std::size_t>(p)])];
-                if (seg.emit && seg.row >= 0)
-                    dst[static_cast<std::size_t>(seg.row)] = acc;
-                else
-                    carry = acc;
-            }
+    // Walk the lane streams in order. A segment with accumulate ==
+    // false starts from zero; otherwise it continues the carry left by
+    // the previous non-emitting segment.
+    if (config_.fp32Datapath) {
+        // FP32 MAC trees: accumulate in float like the silicon.
+        float carry = 0.0f;
+        for (const auto& seg : matrix.segments) {
+            float acc = seg.accumulate ? carry : 0.0f;
+            for (Index p = seg.begin; p < seg.end; ++p)
+                acc += static_cast<float>(
+                           values[static_cast<std::size_t>(p)]) *
+                    static_cast<float>(x[static_cast<std::size_t>(
+                        matrix.flatCols[static_cast<std::size_t>(p)])]);
+            if (seg.emit && seg.row >= 0)
+                dst[static_cast<std::size_t>(seg.row)] = acc;
+            else
+                carry = acc;
         }
-    };
-
-    const Index width = effectiveNumThreads();
-    if (num_chains > 1 && width > 1 && !ThreadPool::insideWorker() &&
-        static_cast<Index>(matrix.flatValues.size()) >=
-            kParallelThreshold) {
-        const Index grain =
-            std::max<Index>(1, num_chains / (width * 4));
-        ThreadPool::global().parallelFor(0, num_chains, grain,
-                                         run_chains);
-    } else if (num_chains > 0) {
-        run_chains(0, num_chains);
+    } else {
+        Real carry = 0.0;
+        for (const auto& seg : matrix.segments) {
+            Real acc = seg.accumulate ? carry : 0.0;
+            for (Index p = seg.begin; p < seg.end; ++p)
+                acc += values[static_cast<std::size_t>(p)] *
+                    x[static_cast<std::size_t>(
+                        matrix.flatCols[static_cast<std::size_t>(p)])];
+            if (seg.emit && seg.row >= 0)
+                dst[static_cast<std::size_t>(seg.row)] = acc;
+            else
+                carry = acc;
+        }
     }
 
     // Soft-error model for the MAC-tree accumulation: the emitted
@@ -298,9 +250,6 @@ void
 Machine::run(const Program& program, Count max_instructions)
 {
     RSQP_ASSERT(!program.code.empty(), "empty program");
-    // Simulation-host parallelism for the C-wide datapath; 0 inherits
-    // the ambient default and 1 forces the legacy serial walk.
-    NumThreadsScope threads_scope(config_.resolvedNumThreads());
     const auto& timings = config_.timings;
 
     // Fresh deterministic fault pattern per run, so a host-level retry

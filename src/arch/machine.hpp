@@ -154,16 +154,6 @@ class Machine
         std::vector<Real> flatValues;  ///< non-padded values, stream order
         IndexVector flatCols;          ///< matching column indices
         std::vector<Segment> segments;
-        /**
-         * Indices of segments that start a fresh accumulation chain
-         * (accumulate == false). A '$'-chunk partial-sum carry never
-         * crosses such a boundary, and each chain emits into its own
-         * disjoint set of destination rows, so whole chains are the
-         * unit of parallelism of the simulated lane streams: any
-         * grouping of chains onto threads reproduces the serial
-         * result bitwise.
-         */
-        IndexVector chainStarts;
         Count storedCopies = 0;  ///< cached plan.storedCopies()
         /** CVB contents (functional): the duplicated vector. */
         Vector cvbVector;
@@ -185,8 +175,8 @@ class Machine
     /**
      * Monotonic per-injected-instruction offset mixed into the stream
      * tag so repeated executions of one instruction see independent
-     * fault draws. Bumped only on the in-order dispatch thread, so
-     * fault patterns are identical at every numThreads.
+     * fault draws. Bumped in instruction order, so fault patterns are
+     * reproducible run to run.
      */
     std::uint64_t faultNonce_ = 0;
     std::vector<Vector> vectors_;

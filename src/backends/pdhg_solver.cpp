@@ -7,7 +7,6 @@
 
 #include "backends/backend_metrics.hpp"
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "linalg/vector_ops.hpp"
@@ -371,7 +370,6 @@ PdhgSolver::solve()
 {
     TELEMETRY_SPAN("pdhg.solve");
     Timer solve_timer;
-    NumThreadsScope threads_scope(settings_.resolvedNumThreads());
 
     OsqpResult result;
     OsqpInfo& info = result.info;
@@ -380,8 +378,6 @@ PdhgSolver::solve()
     info.iterations = 0;
     info.rhoUpdates = 0;
     info.pcgIterationsTotal = 0;
-    info.refinementSweepsTotal = 0;
-    info.fp64Rescues = 0;
     info.hotPath = HotPathProfile{};
     info.recovery = RecoveryReport{};
     info.telemetry = SolveTelemetry{};
@@ -444,18 +440,14 @@ PdhgSolver::solve()
     bool have_prev_check = false;
 
     const auto unscale_iterates = [&]() {
-        parallelForRange(n_, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                x_u[static_cast<std::size_t>(j)] =
-                    scaling_.d[static_cast<std::size_t>(j)] *
-                    x_[static_cast<std::size_t>(j)];
-        });
-        parallelForRange(m_, [&](Index ib, Index ie) {
-            for (Index i = ib; i < ie; ++i) {
-                const auto s = static_cast<std::size_t>(i);
-                y_u[s] = scaling_.cInv * scaling_.e[s] * y_[s];
-            }
-        });
+        for (Index j = 0; j < n_; ++j)
+            x_u[static_cast<std::size_t>(j)] =
+                scaling_.d[static_cast<std::size_t>(j)] *
+                x_[static_cast<std::size_t>(j)];
+        for (Index i = 0; i < m_; ++i) {
+            const auto s = static_cast<std::size_t>(i);
+            y_u[s] = scaling_.cInv * scaling_.e[s] * y_[s];
+        }
     };
 
     const auto reset_epoch = [&]() {
@@ -528,28 +520,24 @@ PdhgSolver::solve()
                                             call_offset + iter);
         }
         const Real tau = tau_;
-        parallelForRange(n_, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j) {
-                const auto s = static_cast<std::size_t>(j);
-                x_next[s] =
-                    x_[s] - tau * (px[s] + scaled_.q[s] + aty[s]);
-                x_bar[s] = 2.0 * x_next[s] - x_[s];
-            }
-        });
+        for (Index j = 0; j < n_; ++j) {
+            const auto s = static_cast<std::size_t>(j);
+            x_next[s] =
+                x_[s] - tau * (px[s] + scaled_.q[s] + aty[s]);
+            x_bar[s] = 2.0 * x_next[s] - x_[s];
+        }
 
         // Dual step via Moreau: y+ = sigma (w - Pi_[l,u](w)).
         aCsr_.spmv(x_bar, ax);
         const Real sigma = sigma_;
         const Real sigma_inv = 1.0 / sigma;
-        parallelForRange(m_, [&](Index ib, Index ie) {
-            for (Index i = ib; i < ie; ++i) {
-                const auto s = static_cast<std::size_t>(i);
-                const Real w = y_[s] * sigma_inv + ax[s];
-                const Real proj =
-                    clampReal(w, scaled_.l[s], scaled_.u[s]);
-                y_[s] = sigma * (w - proj);
-            }
-        });
+        for (Index i = 0; i < m_; ++i) {
+            const auto s = static_cast<std::size_t>(i);
+            const Real w = y_[s] * sigma_inv + ax[s];
+            const Real proj =
+                clampReal(w, scaled_.l[s], scaled_.u[s]);
+            y_[s] = sigma * (w - proj);
+        }
         ++epoch_len;
 
         if (cfg.restart == PdhgRestart::Halpern) {
@@ -558,35 +546,27 @@ PdhgSolver::solve()
             // that restores an O(1/k) rate on the fixed-point residual.
             const Real lambda =
                 1.0 / static_cast<Real>(epoch_len + 1);
-            parallelForRange(n_, [&](Index jb, Index je) {
-                for (Index j = jb; j < je; ++j) {
-                    const auto s = static_cast<std::size_t>(j);
-                    x_[s] = (1.0 - lambda) * x_next[s] +
-                        lambda * x_anchor[s];
-                }
-            });
-            parallelForRange(m_, [&](Index ib, Index ie) {
-                for (Index i = ib; i < ie; ++i) {
-                    const auto s = static_cast<std::size_t>(i);
-                    y_[s] = (1.0 - lambda) * y_[s] +
-                        lambda * y_anchor[s];
-                }
-            });
+            for (Index j = 0; j < n_; ++j) {
+                const auto s = static_cast<std::size_t>(j);
+                x_[s] = (1.0 - lambda) * x_next[s] +
+                    lambda * x_anchor[s];
+            }
+            for (Index i = 0; i < m_; ++i) {
+                const auto s = static_cast<std::size_t>(i);
+                y_[s] = (1.0 - lambda) * y_[s] +
+                    lambda * y_anchor[s];
+            }
         } else {
             x_.swap(x_next);
         }
 
         // Running average of the epoch (restart target).
-        parallelForRange(n_, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                x_sum[static_cast<std::size_t>(j)] +=
-                    x_[static_cast<std::size_t>(j)];
-        });
-        parallelForRange(m_, [&](Index ib, Index ie) {
-            for (Index i = ib; i < ie; ++i)
-                y_sum[static_cast<std::size_t>(i)] +=
-                    y_[static_cast<std::size_t>(i)];
-        });
+        for (Index j = 0; j < n_; ++j)
+            x_sum[static_cast<std::size_t>(j)] +=
+                x_[static_cast<std::size_t>(j)];
+        for (Index i = 0; i < m_; ++i)
+            y_sum[static_cast<std::size_t>(i)] +=
+                y_[static_cast<std::size_t>(i)];
 
         info.iterations = iter;
 
@@ -649,18 +629,14 @@ PdhgSolver::solve()
         }
 
         if (have_prev_check) {
-            parallelForRange(n_, [&](Index jb, Index je) {
-                for (Index j = jb; j < je; ++j) {
-                    const auto s = static_cast<std::size_t>(j);
-                    delta_x[s] = x_u[s] - x_u_prev[s];
-                }
-            });
-            parallelForRange(m_, [&](Index ib, Index ie) {
-                for (Index i = ib; i < ie; ++i) {
-                    const auto s = static_cast<std::size_t>(i);
-                    delta_y[s] = y_u[s] - y_u_prev[s];
-                }
-            });
+            for (Index j = 0; j < n_; ++j) {
+                const auto s = static_cast<std::size_t>(j);
+                delta_x[s] = x_u[s] - x_u_prev[s];
+            }
+            for (Index i = 0; i < m_; ++i) {
+                const auto s = static_cast<std::size_t>(i);
+                delta_y[s] = y_u[s] - y_u_prev[s];
+            }
             if (checkPrimalInfeasibility(delta_y)) {
                 info.status = SolveStatus::PrimalInfeasible;
                 break;
@@ -717,18 +693,14 @@ PdhgSolver::solve()
             if (to_average && epoch_len > 0) {
                 const Real inv =
                     1.0 / static_cast<Real>(epoch_len);
-                parallelForRange(n_, [&](Index jb, Index je) {
-                    for (Index j = jb; j < je; ++j) {
-                        const auto s = static_cast<std::size_t>(j);
-                        x_[s] = x_sum[s] * inv;
-                    }
-                });
-                parallelForRange(m_, [&](Index ib, Index ie) {
-                    for (Index i = ib; i < ie; ++i) {
-                        const auto s = static_cast<std::size_t>(i);
-                        y_[s] = y_sum[s] * inv;
-                    }
-                });
+                for (Index j = 0; j < n_; ++j) {
+                    const auto s = static_cast<std::size_t>(j);
+                    x_[s] = x_sum[s] * inv;
+                }
+                for (Index i = 0; i < m_; ++i) {
+                    const auto s = static_cast<std::size_t>(i);
+                    y_[s] = y_sum[s] * inv;
+                }
             }
 
             if (cfg.adaptiveStepBalance) {
@@ -785,7 +757,6 @@ PdhgSolver::solve()
     tele.pcgIterationsTotal = 0;
     tele.pcgItersPerSolve = 0.0;
     tele.isaLevel = isaLevelName(simd::activeIsaLevel());
-    tele.precision = precisionModeName(PrecisionMode::Fp64);
     tele.recoveryEvents =
         static_cast<Count>(info.recovery.events.size());
     tele.faultsInjected = faultInjector_ != nullptr

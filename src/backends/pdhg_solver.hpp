@@ -23,10 +23,10 @@
  * or adaptive to the running average, or Halpern anchoring) recover
  * the linear convergence plain PDHG lacks on QPs.
  *
- * Everything runs on the shared deterministic kernels: CSR-mirror
- * SpMV (SIMD row-gather), fixed-grain chunked reductions and
- * parallelForRange element updates — results are bitwise-identical at
- * any thread count and ISA level. The divergence watchdog, iterate
+ * Everything runs serially on the shared deterministic kernels:
+ * CSR-mirror SpMV (SIMD row-gather), fixed-grain chunked reductions
+ * and plain element-update loops — results are bitwise-identical at
+ * every ISA level. The divergence watchdog, iterate
  * checkpoint and seeded fault injection hook in exactly like the ADMM
  * loop, and solve() returns the standard OsqpResult contract.
  */

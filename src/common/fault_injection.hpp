@@ -7,8 +7,7 @@
  * word (HBM burst, MAC-tree output register) occasionally arrives with
  * a flipped bit or as a poisoned NaN. Injection decisions are a *pure
  * function* of (seed, epoch, stream tag, word index), so a run is
- * exactly reproducible at any host thread count: the parallel SpMV
- * lanes see the same faults no matter how chains are scheduled.
+ * exactly reproducible.
  *
  * The injector never aborts a computation — its whole purpose is to
  * exercise the detection and recovery machinery (problem validation,

@@ -51,8 +51,6 @@ thread_local Index tlsNumThreads = 0;
 /** Is this thread currently running inside a parallel region? */
 thread_local bool tlsInsideWorker = false;
 
-std::atomic<Index> processNumThreads{0};
-
 struct InsideWorkerScope
 {
     bool prev;
@@ -69,21 +67,11 @@ hardwareConcurrency()
     return n > 0 ? n : 1;
 }
 
-void
-setProcessNumThreads(Index n)
-{
-    RSQP_ASSERT(n >= 0, "setProcessNumThreads: negative count");
-    processNumThreads.store(n);
-}
-
 Index
 effectiveNumThreads()
 {
     if (tlsNumThreads > 0)
         return tlsNumThreads;
-    const Index process_default = processNumThreads.load();
-    if (process_default > 0)
-        return process_default;
     return static_cast<Index>(hardwareConcurrency());
 }
 
@@ -204,9 +192,7 @@ ThreadPool::parallelFor(Index begin, Index end, Index grain,
     budget = std::min(budget, num_chunks);
 
     if (budget <= 1 || tlsInsideWorker) {
-        // Serial fallback / nested region: same chunk arithmetic is
-        // preserved by callers that care (reduceSum iterates chunks in
-        // order); elementwise bodies are order-insensitive anyway.
+        // Serial fallback / nested region: the whole range runs inline.
         InsideWorkerScope inside;
         fn(begin, end);
         return;
@@ -277,70 +263,6 @@ ThreadPool::parallelFor(Index begin, Index end, Index grain,
     }
     if (error)
         std::rethrow_exception(error);
-}
-
-Real
-ThreadPool::reduceSum(Index begin, Index end, Index grain,
-                      const std::function<Real(Index, Index)>& partial,
-                      unsigned max_workers)
-{
-    if (end <= begin)
-        return 0.0;
-    if (grain < 1)
-        grain = 1;
-    const Count span = static_cast<Count>(end) - begin;
-    const Count num_chunks = (span + grain - 1) / grain;
-    std::vector<Real> partials(static_cast<std::size_t>(num_chunks),
-                               0.0);
-    parallelFor(
-        0, static_cast<Index>(num_chunks), 1,
-        [&](Index cb, Index ce) {
-            for (Index c = cb; c < ce; ++c) {
-                const Index b =
-                    begin + static_cast<Index>(
-                                static_cast<Count>(c) * grain);
-                const Index e = static_cast<Index>(std::min<Count>(
-                    static_cast<Count>(b) + grain, end));
-                partials[static_cast<std::size_t>(c)] = partial(b, e);
-            }
-        },
-        max_workers);
-    Real acc = partials[0];
-    for (std::size_t c = 1; c < partials.size(); ++c)
-        acc += partials[c];
-    return acc;
-}
-
-Real
-ThreadPool::reduceMax(Index begin, Index end, Index grain, Real identity,
-                      const std::function<Real(Index, Index)>& partial,
-                      unsigned max_workers)
-{
-    if (end <= begin)
-        return identity;
-    if (grain < 1)
-        grain = 1;
-    const Count span = static_cast<Count>(end) - begin;
-    const Count num_chunks = (span + grain - 1) / grain;
-    std::vector<Real> partials(static_cast<std::size_t>(num_chunks),
-                               identity);
-    parallelFor(
-        0, static_cast<Index>(num_chunks), 1,
-        [&](Index cb, Index ce) {
-            for (Index c = cb; c < ce; ++c) {
-                const Index b =
-                    begin + static_cast<Index>(
-                                static_cast<Count>(c) * grain);
-                const Index e = static_cast<Index>(std::min<Count>(
-                    static_cast<Count>(b) + grain, end));
-                partials[static_cast<std::size_t>(c)] = partial(b, e);
-            }
-        },
-        max_workers);
-    Real acc = identity;
-    for (Real v : partials)
-        acc = std::max(acc, v);
-    return acc;
 }
 
 ThreadPool&

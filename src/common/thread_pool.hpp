@@ -1,30 +1,27 @@
 /**
  * @file
- * Fixed-size worker pool shared by the hot execution paths: the
- * parallel vector kernels (linalg/vector_ops), the simulated SpMV
- * engine lanes (arch/machine) and the multi-instance batch solver
- * (core/rsqp_solver::solveBatch).
+ * Fixed-size worker pool for work *across* solves: the service's
+ * stream launch (service/service.cpp) and the multi-instance batch
+ * solver (core/rsqp_solver::solveBatch). A single solve never fans
+ * out; its kernels run serially on the calling thread (see
+ * linalg/vector_ops.hpp for the fixed reduction order).
  *
  * Design goals, in priority order:
  *
- *  1. **Determinism.** Numeric results must not depend on the thread
- *     count or on scheduling. parallelFor partitions a range into
- *     chunks of a *fixed* grain, so the chunk boundaries depend only on
- *     the range and grain; reduceSum stores one partial per chunk in a
- *     pre-allocated slot and combines the partials in ascending chunk
- *     order. A reduction therefore produces bitwise-identical results
- *     run-to-run at any thread count (1 included).
+ *  1. **Determinism.** parallelFor partitions a range into chunks of a
+ *     *fixed* grain, so the chunk boundaries depend only on the range
+ *     and grain, never on the thread count or on scheduling.
  *  2. **Nested safety.** A parallelFor issued from inside a pool task
  *     runs inline (serially) instead of re-entering the pool, so
- *     nested parallel regions (e.g. a threaded solve inside
- *     solveBatch) can never deadlock and never oversubscribe.
- *  3. **Exact legacy fallback.** With an effective thread count of 1
+ *     nested parallel regions can never deadlock and never
+ *     oversubscribe.
+ *  3. **Exact serial fallback.** With an effective thread count of 1
  *     the pool is bypassed entirely: the body runs inline on the
  *     calling thread.
  *
- * The effective thread count is resolved per calling thread:
- * a NumThreadsScope override if one is active, else the process-wide
- * default (setProcessNumThreads), else std::thread::hardware_concurrency.
+ * The effective thread count is resolved per calling thread: a
+ * NumThreadsScope override if one is active, else
+ * std::thread::hardware_concurrency.
  */
 
 #ifndef RSQP_COMMON_THREAD_POOL_HPP
@@ -48,22 +45,15 @@ namespace rsqp
 unsigned hardwareConcurrency();
 
 /**
- * Process-wide default thread count: 0 restores the hardware default.
- * Applies to every thread with no active NumThreadsScope.
- */
-void setProcessNumThreads(Index n);
-
-/**
  * Thread count the calling thread would use for a parallel region
- * (>= 1): the innermost NumThreadsScope override, else the process
- * default, else hardwareConcurrency().
+ * (>= 1): the innermost NumThreadsScope override, else
+ * hardwareConcurrency().
  */
 Index effectiveNumThreads();
 
 /**
- * RAII thread-local override of the effective thread count, used to
- * plumb the OsqpSettings / ArchConfig num_threads knobs down to the
- * kernels without widening every call signature. 0 = inherit.
+ * RAII thread-local override of the effective thread count seen by
+ * parallelFor / parallelForRange on this thread. 0 = inherit.
  */
 class NumThreadsScope
 {
@@ -78,7 +68,7 @@ class NumThreadsScope
     Index prev_;
 };
 
-/** Fixed-size worker pool with deterministic partitioned reductions. */
+/** Fixed-size worker pool with fixed-grain parallel ranges. */
 class ThreadPool
 {
   public:
@@ -116,22 +106,7 @@ class ThreadPool
                      const std::function<void(Index, Index)>& fn,
                      unsigned max_workers = 0);
 
-    /**
-     * Deterministic partitioned sum: partial(chunk_begin, chunk_end)
-     * is evaluated once per fixed grain-sized chunk and the partials
-     * are combined in ascending chunk order — the result depends only
-     * on (begin, end, grain), never on the thread count.
-     */
-    Real reduceSum(Index begin, Index end, Index grain,
-                   const std::function<Real(Index, Index)>& partial,
-                   unsigned max_workers = 0);
-
-    /** Like reduceSum but combining with max (order-insensitive). */
-    Real reduceMax(Index begin, Index end, Index grain, Real identity,
-                   const std::function<Real(Index, Index)>& partial,
-                   unsigned max_workers = 0);
-
-    /** The shared process-wide pool used by all rsqp kernels. */
+    /** The shared process-wide pool: service streams and solveBatch. */
     static ThreadPool& global();
 
     /** Is the calling thread inside a task of any ThreadPool? */
@@ -162,19 +137,20 @@ class ThreadPool
     bool stop_ = false;
 };
 
-/** Grain (elements per chunk) of the deterministic reductions. */
+/** Grain (elements per chunk) of parallelForRange and of the fixed
+ *  reduction order in linalg/vector_ops. */
 inline constexpr Index kParallelGrain = 4096;
 
-/** Minimum range length before a kernel goes parallel. */
+/** Minimum range length before parallelForRange fans out; also the
+ *  length at which vector_ops reductions switch to chunked order. */
 inline constexpr Index kParallelThreshold = 8192;
 
 /**
  * Convenience wrapper over the global pool: chunk [0, n) with the
  * default grain when worthwhile, else run body(0, n) inline. Templated
- * on the body so the inline path never materializes a std::function —
+ * on the body so the inline path never materializes a std::function:
  * a serial caller (1 effective thread, small range, or nested inside a
- * worker) performs zero heap allocations here, which the steady-state
- * PCG loop relies on.
+ * worker) performs zero heap allocations here.
  */
 template <typename Body>
 inline void

@@ -155,8 +155,6 @@ customizeProblem(const QpProblem& scaled, const CustomizeSettings& settings)
     customization.config.structures = set;
     customization.config.compressedCvb = settings.compressCvb;
     customization.config.fp32Datapath = settings.fp32Datapath;
-    customization.config.execution.numThreads =
-        settings.resolvedNumThreads();
     customization.config.faultInjection = settings.faultInjection;
 
     customization.p =
@@ -287,8 +285,6 @@ thawCustomization(const QpProblem& scaled,
                 "thawCustomization: artifact/problem mismatch");
     ProblemCustomization customization;
     customization.config = artifact.config;
-    customization.config.execution.numThreads =
-        settings.resolvedNumThreads();
     customization.config.faultInjection = settings.faultInjection;
 
     const StructureSet& set = customization.config.structures;

@@ -50,16 +50,6 @@ struct CustomizeSettings
     bool customizeStructures = true;  ///< run the E_p optimization
     bool compressCvb = true;          ///< run the E_c optimization
     bool fp32Datapath = false;        ///< FP32 MAC trees (the silicon)
-    /** Execution resources for the simulation host. */
-    ExecutionConfig execution;
-
-    /** Effective thread count of the simulation host. */
-    Index
-    resolvedNumThreads() const
-    {
-        return execution.numThreads;
-    }
-
     /** Seeded HBM/MAC soft-error injection (testing only). */
     FaultInjectionConfig faultInjection;
     StructureSearchSettings search;   ///< E_p search knobs
@@ -118,9 +108,9 @@ struct FrozenMatrixArtifact
 struct CustomizationArtifact
 {
     /**
-     * The generated architecture. numThreads and faultInjection are
-     * per-instance host knobs, overwritten at thaw time from the
-     * caller's settings; everything else is part of the frozen design.
+     * The generated architecture. faultInjection is a per-instance
+     * host knob, overwritten at thaw time from the caller's settings;
+     * everything else is part of the frozen design.
      */
     ArchConfig config;
     FrozenMatrixArtifact p;
@@ -148,8 +138,8 @@ freezeCustomization(const ProblemCustomization& custom);
  * bitwise-identical to customizeProblem(scaled, settings) — asserted
  * by the service tests — at O(nnz) cost instead of the full search.
  *
- * @param settings Supplies the per-instance host knobs (numThreads,
- *        faultInjection); its structural knobs (c, optimization flags)
+ * @param settings Supplies the per-instance host knob
+ *        (faultInjection); its structural knobs (c, optimization flags)
  *        must match the artifact (see compatibleWith).
  */
 ProblemCustomization

@@ -407,9 +407,6 @@ solveBatch(const std::vector<QpProblem>& problems,
     ThreadPool::global().parallelFor(
         0, static_cast<Index>(problems.size()), 1,
         [&](Index b, Index e) {
-            // Pin each instance to its host thread: intra-solve
-            // parallelism would only contend with the batch fan-out.
-            NumThreadsScope serial_instance(1);
             for (Index i = b; i < e; ++i)
                 solve_one(i);
         },

@@ -147,9 +147,9 @@ class RsqpSolver
  * simulated accelerator.
  *
  * Every instance produces exactly the result of a standalone
- * RsqpSolver(problem, settings, custom).solve(): the per-instance
- * work is pinned to one host thread, so batch results are independent
- * of the batch width and of scheduling.
+ * RsqpSolver(problem, settings, custom).solve(): each solve runs
+ * serially on one host thread, so batch results are independent of
+ * the batch width and of scheduling.
  *
  * @param num_threads Workers fanned across the batch (0 = library
  *        default, 1 = serial loop). The first exception thrown by any

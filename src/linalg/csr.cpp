@@ -1,7 +1,6 @@
 #include "csr.hpp"
 
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 #include "linalg/simd_kernels.hpp"
 
 namespace rsqp
@@ -71,20 +70,17 @@ CsrMatrix::spmv(const Vector& x, Vector& y) const
 {
     RSQP_ASSERT(static_cast<Index>(x.size()) == cols_, "spmv: x size");
     y.resize(static_cast<std::size_t>(rows_));
-    // Row-gather: each output element is one private accumulation, so
-    // the result is bitwise-identical at any thread count. The per-row
-    // gather dispatches through the SIMD kernel table and uses the
+    // Row-gather: each output element is one private accumulation. The
+    // per-row gather dispatches through the SIMD kernel table and uses the
     // canonical 8-lane striped order at every ISA level.
     const simd::VectorKernels& k = simd::activeKernels();
-    parallelForRange(rows_, [&](Index rb, Index re) {
-        for (Index r = rb; r < re; ++r) {
-            const Index begin = rowPtr_[r];
-            y[static_cast<std::size_t>(r)] =
-                k.csrRowGather(values_.data() + begin,
-                               colIdx_.data() + begin,
-                               rowPtr_[r + 1] - begin, x.data());
-        }
-    });
+    for (Index r = 0; r < rows_; ++r) {
+        const Index begin = rowPtr_[r];
+        y[static_cast<std::size_t>(r)] =
+            k.csrRowGather(values_.data() + begin,
+                           colIdx_.data() + begin,
+                           rowPtr_[r + 1] - begin, x.data());
+    }
 }
 
 CscMatrix

@@ -4,7 +4,6 @@
 
 #include "common/logging.hpp"
 #include "common/profile.hpp"
-#include "common/thread_pool.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "telemetry/trace.hpp"
 
@@ -187,7 +186,7 @@ ReducedKktOperator::buildPFull()
     // then its diagonal, then its direct entries (columns > i) from
     // the later columns. The sorted row order is what the striped
     // row-gather kernel reduces over — fixed per row, so the apply is
-    // bitwise-deterministic at any thread count and ISA level.
+    // bitwise-deterministic at every ISA level.
     for (Index c = 0; c < n; ++c) {
         for (Index p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
             const Index r = row_idx[p];
@@ -286,33 +285,29 @@ ReducedKktOperator::apply(const Vector& x, Vector& y) const
         // w = diag(rho) A x — rho folded into the row gather, no
         // separate length-m sweep.
         ProfileScope profile(ProfilePhase::SpmvA);
-        parallelForRange(m, [&](Index rb, Index re) {
-            for (Index r = rb; r < re; ++r) {
-                const Index begin = aRowPtr_[static_cast<std::size_t>(r)];
-                const Index nnz =
-                    aRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
-                scratchM_[static_cast<std::size_t>(r)] =
-                    rhoVec_[static_cast<std::size_t>(r)] *
-                    k.csrRowGather(aVals_.data() + begin,
-                                   aColIdx_.data() + begin, nnz, x.data());
-            }
-        });
+        for (Index r = 0; r < m; ++r) {
+            const Index begin = aRowPtr_[static_cast<std::size_t>(r)];
+            const Index nnz =
+                aRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
+            scratchM_[static_cast<std::size_t>(r)] =
+                rhoVec_[static_cast<std::size_t>(r)] *
+                k.csrRowGather(aVals_.data() + begin,
+                               aColIdx_.data() + begin, nnz, x.data());
+        }
     }
     {
         // y = (P + sigma I) x on the full symmetric CSR image.
         ProfileScope profile(ProfilePhase::SpmvP);
-        parallelForRange(n, [&](Index rb, Index re) {
-            for (Index r = rb; r < re; ++r) {
-                const Index begin = pRowPtr_[static_cast<std::size_t>(r)];
-                const Index nnz =
-                    pRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
-                y[static_cast<std::size_t>(r)] =
-                    k.csrRowGather(pVals_.data() + begin,
-                                   pColIdx_.data() + begin, nnz,
-                                   x.data()) +
-                    sigma_ * x[static_cast<std::size_t>(r)];
-            }
-        });
+        for (Index r = 0; r < n; ++r) {
+            const Index begin = pRowPtr_[static_cast<std::size_t>(r)];
+            const Index nnz =
+                pRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
+            y[static_cast<std::size_t>(r)] =
+                k.csrRowGather(pVals_.data() + begin,
+                               pColIdx_.data() + begin, nnz,
+                               x.data()) +
+                sigma_ * x[static_cast<std::size_t>(r)];
+        }
     }
     {
         // y += A' w. A CSR row of A' is a CSC column of A, so the
@@ -321,16 +316,14 @@ ReducedKktOperator::apply(const Vector& x, Vector& y) const
         const auto& col_ptr = a_->colPtr();
         const auto& row_idx = a_->rowIdx();
         const auto& values = a_->values();
-        parallelForRange(n, [&](Index cb, Index ce) {
-            for (Index c = cb; c < ce; ++c) {
-                const Index begin = col_ptr[c];
-                y[static_cast<std::size_t>(c)] +=
-                    k.csrRowGather(values.data() + begin,
-                                   row_idx.data() + begin,
-                                   col_ptr[c + 1] - begin,
-                                   scratchM_.data());
-            }
-        });
+        for (Index c = 0; c < n; ++c) {
+            const Index begin = col_ptr[c];
+            y[static_cast<std::size_t>(c)] +=
+                k.csrRowGather(values.data() + begin,
+                               row_idx.data() + begin,
+                               col_ptr[c + 1] - begin,
+                               scratchM_.data());
+        }
     }
 }
 
@@ -343,17 +336,15 @@ ReducedKktOperator::applyA(const Vector& x, Vector& z) const
     z.resize(static_cast<std::size_t>(m));
     ProfileScope profile(ProfilePhase::SpmvA);
     const simd::VectorKernels& k = simd::activeKernels();
-    parallelForRange(m, [&](Index rb, Index re) {
-        for (Index r = rb; r < re; ++r) {
-            const Index begin = aRowPtr_[static_cast<std::size_t>(r)];
-            z[static_cast<std::size_t>(r)] =
-                k.csrRowGather(aVals_.data() + begin,
-                               aColIdx_.data() + begin,
-                               aRowPtr_[static_cast<std::size_t>(r) + 1] -
-                                   begin,
-                               x.data());
-        }
-    });
+    for (Index r = 0; r < m; ++r) {
+        const Index begin = aRowPtr_[static_cast<std::size_t>(r)];
+        z[static_cast<std::size_t>(r)] =
+            k.csrRowGather(aVals_.data() + begin,
+                           aColIdx_.data() + begin,
+                           aRowPtr_[static_cast<std::size_t>(r) + 1] -
+                               begin,
+                           x.data());
+    }
 }
 
 void
@@ -377,15 +368,13 @@ ReducedKktOperator::accumulateAtRho(const Vector& x, Vector& y) const
             rhoVec_[static_cast<std::size_t>(r)] *
             x[static_cast<std::size_t>(r)];
     const simd::VectorKernels& k = simd::activeKernels();
-    parallelForRange(n, [&](Index cb, Index ce) {
-        for (Index c = cb; c < ce; ++c) {
-            const Index begin = col_ptr[c];
-            y[static_cast<std::size_t>(c)] +=
-                k.csrRowGather(values.data() + begin,
-                               row_idx.data() + begin,
-                               col_ptr[c + 1] - begin, scratchM_.data());
-        }
-    });
+    for (Index c = 0; c < n; ++c) {
+        const Index begin = col_ptr[c];
+        y[static_cast<std::size_t>(c)] +=
+            k.csrRowGather(values.data() + begin,
+                           row_idx.data() + begin,
+                           col_ptr[c + 1] - begin, scratchM_.data());
+    }
 }
 
 void
@@ -394,8 +383,6 @@ ReducedKktOperator::setRho(const Vector& rho_vec)
     RSQP_ASSERT(rho_vec.size() == rhoVec_.size(), "rho length change");
     rhoVec_ = rho_vec;  // copy-assign: reuses the existing capacity
     rebuildDiagonal();
-    if (fp32Enabled_)
-        refreshFp32Rho();
 }
 
 void
@@ -425,99 +412,6 @@ ReducedKktOperator::refreshValues()
 
     rebuildDiagonalBase();
     rebuildDiagonal();
-    if (fp32Enabled_)
-        refreshFp32Values();
-}
-
-void
-ReducedKktOperator::enableFp32Mirror()
-{
-    fp32Enabled_ = true;
-    refreshFp32Values();
-    refreshFp32Rho();
-    scratchM32_.resize(static_cast<std::size_t>(a_->rows()));
-}
-
-void
-ReducedKktOperator::refreshFp32Values()
-{
-    pVals32_.resize(pVals_.size());
-    for (std::size_t p = 0; p < pVals_.size(); ++p)
-        pVals32_[p] = static_cast<float>(pVals_[p]);
-    aVals32_.resize(aVals_.size());
-    for (std::size_t p = 0; p < aVals_.size(); ++p)
-        aVals32_[p] = static_cast<float>(aVals_[p]);
-    const auto& a_csc = a_->values();
-    aCscVals32_.resize(a_csc.size());
-    for (std::size_t p = 0; p < a_csc.size(); ++p)
-        aCscVals32_[p] = static_cast<float>(a_csc[p]);
-}
-
-void
-ReducedKktOperator::refreshFp32Rho()
-{
-    rho32_.resize(rhoVec_.size());
-    for (std::size_t i = 0; i < rhoVec_.size(); ++i)
-        rho32_[i] = static_cast<float>(rhoVec_[i]);
-}
-
-void
-ReducedKktOperator::applyFp32(const FloatVector& x, FloatVector& y) const
-{
-    RSQP_ASSERT(fp32Enabled_, "applyFp32 without enableFp32Mirror");
-    const Index n = pUpper_->cols();
-    const Index m = a_->rows();
-    RSQP_ASSERT(static_cast<Index>(x.size()) == n, "applyFp32: x size");
-    y.resize(static_cast<std::size_t>(n));
-    scratchM32_.resize(static_cast<std::size_t>(m));
-    const auto sigma32 = static_cast<float>(sigma_);
-
-    const simd::VectorKernels& k = simd::activeKernels();
-    {
-        ProfileScope profile(ProfilePhase::SpmvA);
-        parallelForRange(m, [&](Index rb, Index re) {
-            for (Index r = rb; r < re; ++r) {
-                const Index begin = aRowPtr_[static_cast<std::size_t>(r)];
-                const Index nnz =
-                    aRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
-                scratchM32_[static_cast<std::size_t>(r)] =
-                    rho32_[static_cast<std::size_t>(r)] *
-                    k.csrRowGatherF32(aVals32_.data() + begin,
-                                      aColIdx_.data() + begin, nnz,
-                                      x.data());
-            }
-        });
-    }
-    {
-        ProfileScope profile(ProfilePhase::SpmvP);
-        parallelForRange(n, [&](Index rb, Index re) {
-            for (Index r = rb; r < re; ++r) {
-                const Index begin = pRowPtr_[static_cast<std::size_t>(r)];
-                const Index nnz =
-                    pRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
-                y[static_cast<std::size_t>(r)] =
-                    k.csrRowGatherF32(pVals32_.data() + begin,
-                                      pColIdx_.data() + begin, nnz,
-                                      x.data()) +
-                    sigma32 * x[static_cast<std::size_t>(r)];
-            }
-        });
-    }
-    {
-        ProfileScope profile(ProfilePhase::SpmvAt);
-        const auto& col_ptr = a_->colPtr();
-        const auto& row_idx = a_->rowIdx();
-        parallelForRange(n, [&](Index cb, Index ce) {
-            for (Index c = cb; c < ce; ++c) {
-                const Index begin = col_ptr[c];
-                y[static_cast<std::size_t>(c)] +=
-                    k.csrRowGatherF32(aCscVals32_.data() + begin,
-                                      row_idx.data() + begin,
-                                      col_ptr[c + 1] - begin,
-                                      scratchM32_.data());
-            }
-        });
-    }
 }
 
 } // namespace rsqp

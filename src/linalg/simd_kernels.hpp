@@ -10,12 +10,12 @@
  * (lane j sums elements j, j+8, j+16, ...), a fixed pairwise-halving
  * combine tree, in-order scalar tails for the final n % 8 elements,
  * and no FMA contraction anywhere (-ffp-contract=off on every kernel
- * TU). Results are therefore bitwise-identical across ISA levels, not
- * merely across thread counts — the dispatch decision can never change
- * an iterate. The contract the rest of the solver documents remains
- * the weaker one (bitwise per ISA level, tolerance across levels) so a
- * future ISA whose lane arithmetic cannot match — e.g. an FMA
- * datapath — does not break the API promise.
+ * TU). Results are therefore bitwise-identical across ISA levels —
+ * the dispatch decision can never change an iterate. The contract the
+ * rest of the solver documents remains the weaker one (bitwise per ISA
+ * level, tolerance across levels) so a future ISA whose lane
+ * arithmetic cannot match — e.g. an FMA datapath — does not break the
+ * API promise.
  *
  * Dispatch: activeKernels() resolves the table once (highest level
  * supported by both the CPU and the build, narrowed by the
@@ -39,10 +39,7 @@ namespace rsqp::simd
  * signatures so the chunked reduction driver can hand each fixed-grain
  * chunk straight to the active ISA without a virtual call.
  *
- * The fp64 entries mirror the fused kernels of linalg/vector_ops; the
- * F32 entries are the fp32-storage / fp64-accumulate variants of the
- * mixed-precision PCG mode (elementwise math in fp32, every dot
- * product accumulated in fp64).
+ * The entries mirror the fused kernels of linalg/vector_ops.
  */
 struct VectorKernels
 {
@@ -69,22 +66,6 @@ struct VectorKernels
     /** sum vals[p] * x[cols[p]] — one CSR row of a gather SpMV. */
     Real (*csrRowGather)(const Real* vals, const Index* cols, Index nnz,
                          const Real* x);
-
-    /** fp64-accumulated sum x[i] * y[i] over fp32 storage. */
-    Real (*dotRangeF32)(const float* x, const float* y, Index n);
-    /** fp32 x += alpha p, r -= alpha kp; fp64-accumulated sum r[i]^2. */
-    Real (*xMinusAlphaPDotRangeF32)(float alpha, const float* p,
-                                    float* x, const float* kp, float* r,
-                                    Index n);
-    /** fp32 d = inv_diag .* r; fp64-accumulated sum r[i] * d[i]. */
-    Real (*precondApplyDotRangeF32)(const float* inv_diag,
-                                    const float* r, float* d, Index n);
-    /** fp32 out = alpha x + beta y (out may alias x or y). */
-    void (*axpbyRangeF32)(float alpha, const float* x, float beta,
-                          const float* y, float* out, Index n);
-    /** fp32 CSR row gather: sum vals[p] * x[cols[p]] in fp32. */
-    float (*csrRowGatherF32)(const float* vals, const Index* cols,
-                             Index nnz, const float* x);
 };
 
 /**

@@ -3,8 +3,7 @@
  * AVX-512 instantiation of the kernel body: one 512-bit register per
  * 8-lane fp64 pack. The reduction first adds the upper 256-bit half to
  * the lower (lanes i and i+4), then reuses the exact AVX2/scalar
- * halving tree — so the three tables stay bitwise-identical. fp32
- * packs stay 256-bit (8 lanes is the canonical stripe width).
+ * halving tree — so the three tables stay bitwise-identical.
  * Compiled with -mavx512f/dq/vl/bw -ffp-contract=off; built only when
  * the toolchain supports those flags (RSQP_SIMD_BUILD_AVX512).
  */
@@ -32,8 +31,6 @@ namespace rsqp::simd
 
 namespace
 {
-
-struct PackF;
 
 struct PackD
 {
@@ -115,14 +112,6 @@ struct PackD
                                          vi, base, 8)};
     }
 
-    static PackD
-    loadF32(const float* p)
-    {
-        return {_mm512_cvtps_pd(_mm256_loadu_ps(p))};
-    }
-
-    static PackD fromPackF(PackF f);
-
     /** Canonical halving tree: (i, i+4), then (i, i+2), then the pair. */
     static Real
     reduceAdd(PackD a)
@@ -144,81 +133,6 @@ struct PackD
         return _mm_cvtsd_f64(_mm_max_sd(_mm_unpackhi_pd(q, q), q));
     }
 };
-
-struct PackF
-{
-    __m256 v;
-
-    static PackF
-    zero()
-    {
-        return {_mm256_setzero_ps()};
-    }
-
-    static PackF
-    load(const float* p)
-    {
-        return {_mm256_loadu_ps(p)};
-    }
-
-    static void
-    store(float* p, PackF a)
-    {
-        _mm256_storeu_ps(p, a.v);
-    }
-
-    static PackF
-    broadcast(float x)
-    {
-        return {_mm256_set1_ps(x)};
-    }
-
-    static PackF
-    add(PackF a, PackF b)
-    {
-        return {_mm256_add_ps(a.v, b.v)};
-    }
-
-    static PackF
-    sub(PackF a, PackF b)
-    {
-        return {_mm256_sub_ps(a.v, b.v)};
-    }
-
-    static PackF
-    mul(PackF a, PackF b)
-    {
-        return {_mm256_mul_ps(a.v, b.v)};
-    }
-
-    static PackF
-    gather(const float* base, const Index* idx)
-    {
-        const __m256i vi =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-        // VL-masked gather with a zero source (the plain AVX2 gather
-        // intrinsic warns under -Wall; see the AVX2 TU).
-        return {_mm256_mmask_i32gather_ps(_mm256_setzero_ps(),
-                                          static_cast<__mmask8>(0xff),
-                                          vi, base, 4)};
-    }
-
-    static float
-    reduceAdd(PackF a)
-    {
-        const __m128 m = _mm_add_ps(_mm256_castps256_ps128(a.v),
-                                    _mm256_extractf128_ps(a.v, 1));
-        const __m128 q = _mm_add_ps(m, _mm_movehl_ps(m, m));
-        return _mm_cvtss_f32(
-            _mm_add_ss(q, _mm_shuffle_ps(q, q, 0x1)));
-    }
-};
-
-inline PackD
-PackD::fromPackF(PackF f)
-{
-    return {_mm512_cvtps_pd(f.v)};
-}
 
 #include "simd_kernels_body.ipp"
 

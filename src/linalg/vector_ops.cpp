@@ -6,7 +6,7 @@
 
 #include "common/logging.hpp"
 #include "common/profile.hpp"
-#include "common/thread_pool.hpp"
+#include "common/thread_pool.hpp"  // kParallelGrain, kParallelThreshold
 #include "linalg/simd_kernels.hpp"
 
 namespace rsqp
@@ -22,22 +22,7 @@ checkSameSize(const Vector& x, const Vector& y, const char* what)
                 " vs ", y.size());
 }
 
-/**
- * Should this elementwise kernel fan out? Purely a performance gate:
- * elementwise bodies produce bitwise-identical results at any width.
- */
-inline bool
-parallelWorthwhile(std::size_t n)
-{
-    return n >= static_cast<std::size_t>(kParallelThreshold) &&
-        effectiveNumThreads() > 1 && !ThreadPool::insideWorker();
-}
-
-/**
- * Should this reduction use the fixed-grain chunked path? Gated on the
- * size only — never on the thread count — so the summation order (and
- * therefore the bitwise result) is a function of the data alone.
- */
+/** Should this reduction use the fixed-grain chunked path? */
 inline bool
 chunkedReduction(std::size_t n)
 {
@@ -45,14 +30,12 @@ chunkedReduction(std::size_t n)
 }
 
 /**
- * Deterministic fixed-grain chunked sum shared by dot() and the fused
- * kernels: partial(b, e) runs exactly once per kParallelGrain chunk
- * and the partials combine in ascending chunk order — the same
- * structure (including seeding the accumulator from the first chunk)
- * as ThreadPool::reduceSum, so both paths are bitwise-identical. With
- * one effective thread, or nested inside a pool worker, the chunks run
- * as a plain serial loop with no heap allocation; the steady-state PCG
- * loop depends on that.
+ * Fixed-grain chunked sum shared by dot() and the fused kernels:
+ * partial(b, e) runs once per kParallelGrain chunk and the partials
+ * combine in ascending chunk order, the accumulator seeded from the
+ * first chunk. The order is a function of the length alone, so the
+ * bitwise result is too. A plain serial loop with no heap allocation;
+ * the steady-state PCG loop depends on that.
  */
 template <typename Partial>
 Real
@@ -60,13 +43,10 @@ chunkedSum(Index n, Partial&& partial)
 {
     if (n <= 0)
         return 0.0;
-    if (effectiveNumThreads() <= 1 || ThreadPool::insideWorker()) {
-        Real total = partial(0, std::min(n, kParallelGrain));
-        for (Index b = kParallelGrain; b < n; b += kParallelGrain)
-            total += partial(b, std::min(n, b + kParallelGrain));
-        return total;
-    }
-    return ThreadPool::global().reduceSum(0, n, kParallelGrain, partial);
+    Real total = partial(0, std::min(n, kParallelGrain));
+    for (Index b = kParallelGrain; b < n; b += kParallelGrain)
+        total += partial(b, std::min(n, b + kParallelGrain));
+    return total;
 }
 
 } // namespace
@@ -76,17 +56,6 @@ axpby(Real alpha, const Vector& x, Real beta, const Vector& y, Vector& out)
 {
     checkSameSize(x, y, "axpby");
     out.resize(x.size());
-    if (parallelWorthwhile(x.size())) {
-        ThreadPool::global().parallelFor(
-            0, static_cast<Index>(x.size()), kParallelGrain,
-            [&](Index b, Index e) {
-                for (Index i = b; i < e; ++i) {
-                    const auto s = static_cast<std::size_t>(i);
-                    out[s] = alpha * x[s] + beta * y[s];
-                }
-            });
-        return;
-    }
     for (std::size_t i = 0; i < x.size(); ++i)
         out[i] = alpha * x[i] + beta * y[i];
 }
@@ -95,17 +64,6 @@ void
 axpy(Real alpha, const Vector& x, Vector& y)
 {
     checkSameSize(x, y, "axpy");
-    if (parallelWorthwhile(x.size())) {
-        ThreadPool::global().parallelFor(
-            0, static_cast<Index>(x.size()), kParallelGrain,
-            [&](Index b, Index e) {
-                for (Index i = b; i < e; ++i) {
-                    const auto s = static_cast<std::size_t>(i);
-                    y[s] += alpha * x[s];
-                }
-            });
-        return;
-    }
     for (std::size_t i = 0; i < x.size(); ++i)
         y[i] += alpha * x[i];
 }
@@ -113,15 +71,6 @@ axpy(Real alpha, const Vector& x, Vector& y)
 void
 scale(Vector& x, Real alpha)
 {
-    if (parallelWorthwhile(x.size())) {
-        ThreadPool::global().parallelFor(
-            0, static_cast<Index>(x.size()), kParallelGrain,
-            [&](Index b, Index e) {
-                for (Index i = b; i < e; ++i)
-                    x[static_cast<std::size_t>(i)] *= alpha;
-            });
-        return;
-    }
     for (Real& v : x)
         v *= alpha;
 }
@@ -213,32 +162,18 @@ norm2(const Vector& x)
 Real
 normInf(const Vector& x)
 {
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (chunkedReduction(x.size())) {
-        return ThreadPool::global().reduceMax(
-            0, static_cast<Index>(x.size()), kParallelGrain, 0.0,
-            [&](Index b, Index e) {
-                return k.normInfRange(x.data() + b, e - b);
-            });
-    }
-    return k.normInfRange(x.data(), static_cast<Index>(x.size()));
+    // A max of non-NaN values is exact in any grouping (the kernel
+    // drops NaN elements), so one range matches any chunking.
+    return simd::activeKernels().normInfRange(
+        x.data(), static_cast<Index>(x.size()));
 }
 
 Real
 normInfDiff(const Vector& x, const Vector& y)
 {
     checkSameSize(x, y, "normInfDiff");
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (chunkedReduction(x.size())) {
-        return ThreadPool::global().reduceMax(
-            0, static_cast<Index>(x.size()), kParallelGrain, 0.0,
-            [&](Index b, Index e) {
-                return k.normInfDiffRange(x.data() + b, y.data() + b,
-                                          e - b);
-            });
-    }
-    return k.normInfDiffRange(x.data(), y.data(),
-                              static_cast<Index>(x.size()));
+    return simd::activeKernels().normInfDiffRange(
+        x.data(), y.data(), static_cast<Index>(x.size()));
 }
 
 void
@@ -246,17 +181,6 @@ ewProduct(const Vector& x, const Vector& y, Vector& out)
 {
     checkSameSize(x, y, "ewProduct");
     out.resize(x.size());
-    if (parallelWorthwhile(x.size())) {
-        ThreadPool::global().parallelFor(
-            0, static_cast<Index>(x.size()), kParallelGrain,
-            [&](Index b, Index e) {
-                for (Index i = b; i < e; ++i) {
-                    const auto s = static_cast<std::size_t>(i);
-                    out[s] = x[s] * y[s];
-                }
-            });
-        return;
-    }
     for (std::size_t i = 0; i < x.size(); ++i)
         out[i] = x[i] * y[i];
 }
@@ -276,17 +200,6 @@ ewMin(const Vector& x, const Vector& y, Vector& out)
 {
     checkSameSize(x, y, "ewMin");
     out.resize(x.size());
-    if (parallelWorthwhile(x.size())) {
-        ThreadPool::global().parallelFor(
-            0, static_cast<Index>(x.size()), kParallelGrain,
-            [&](Index b, Index e) {
-                for (Index i = b; i < e; ++i) {
-                    const auto s = static_cast<std::size_t>(i);
-                    out[s] = std::min(x[s], y[s]);
-                }
-            });
-        return;
-    }
     for (std::size_t i = 0; i < x.size(); ++i)
         out[i] = std::min(x[i], y[i]);
 }
@@ -296,17 +209,6 @@ ewMax(const Vector& x, const Vector& y, Vector& out)
 {
     checkSameSize(x, y, "ewMax");
     out.resize(x.size());
-    if (parallelWorthwhile(x.size())) {
-        ThreadPool::global().parallelFor(
-            0, static_cast<Index>(x.size()), kParallelGrain,
-            [&](Index b, Index e) {
-                for (Index i = b; i < e; ++i) {
-                    const auto s = static_cast<std::size_t>(i);
-                    out[s] = std::max(x[s], y[s]);
-                }
-            });
-        return;
-    }
     for (std::size_t i = 0; i < x.size(); ++i)
         out[i] = std::max(x[i], y[i]);
 }
@@ -317,17 +219,6 @@ ewClamp(const Vector& x, const Vector& lo, const Vector& hi, Vector& out)
     checkSameSize(x, lo, "ewClamp");
     checkSameSize(x, hi, "ewClamp");
     out.resize(x.size());
-    if (parallelWorthwhile(x.size())) {
-        ThreadPool::global().parallelFor(
-            0, static_cast<Index>(x.size()), kParallelGrain,
-            [&](Index b, Index e) {
-                for (Index i = b; i < e; ++i) {
-                    const auto s = static_cast<std::size_t>(i);
-                    out[s] = clampReal(x[s], lo[s], hi[s]);
-                }
-            });
-        return;
-    }
     for (std::size_t i = 0; i < x.size(); ++i)
         out[i] = clampReal(x[i], lo[i], hi[i]);
 }
@@ -351,19 +242,8 @@ allFinite(const Vector& x)
 bool
 hasNonFinite(const Vector& x)
 {
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (chunkedReduction(x.size())) {
-        // 0/1 partials under max: commutative and idempotent, so the
-        // verdict cannot depend on chunk scheduling.
-        return ThreadPool::global().reduceMax(
-                   0, static_cast<Index>(x.size()), kParallelGrain, 0.0,
-                   [&](Index b, Index e) {
-                       return k.hasNonFiniteRange(x.data() + b, e - b)
-                           ? 1.0
-                           : 0.0;
-                   }) > 0.0;
-    }
-    return k.hasNonFiniteRange(x.data(), static_cast<Index>(x.size()));
+    return simd::activeKernels().hasNonFiniteRange(
+        x.data(), static_cast<Index>(x.size()));
 }
 
 Real
@@ -378,118 +258,6 @@ Vector
 constantVector(Index n, Real value)
 {
     return Vector(static_cast<std::size_t>(n), value);
-}
-
-namespace
-{
-
-inline void
-checkSameSizeF32(const FloatVector& x, const FloatVector& y,
-                 const char* what)
-{
-    RSQP_ASSERT(x.size() == y.size(), what, ": size mismatch ", x.size(),
-                " vs ", y.size());
-}
-
-} // namespace
-
-Real
-dotF32(const FloatVector& x, const FloatVector& y)
-{
-    checkSameSizeF32(x, y, "dotF32");
-    ProfileScope profile(ProfilePhase::Reduction);
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (chunkedReduction(x.size())) {
-        return chunkedSum(static_cast<Index>(x.size()),
-                          [&](Index b, Index e) {
-                              return k.dotRangeF32(x.data() + b,
-                                                   y.data() + b, e - b);
-                          });
-    }
-    return k.dotRangeF32(x.data(), y.data(),
-                         static_cast<Index>(x.size()));
-}
-
-Real
-xMinusAlphaPDotF32(Real alpha, const FloatVector& p, FloatVector& x,
-                   const FloatVector& kp, FloatVector& r)
-{
-    checkSameSizeF32(p, x, "xMinusAlphaPDotF32");
-    checkSameSizeF32(p, kp, "xMinusAlphaPDotF32");
-    checkSameSizeF32(p, r, "xMinusAlphaPDotF32");
-    ProfileScope profile(ProfilePhase::FusedVectorOps);
-    const auto a32 = static_cast<float>(alpha);
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (chunkedReduction(p.size())) {
-        return chunkedSum(static_cast<Index>(p.size()),
-                          [&](Index b, Index e) {
-                              return k.xMinusAlphaPDotRangeF32(
-                                  a32, p.data() + b, x.data() + b,
-                                  kp.data() + b, r.data() + b, e - b);
-                          });
-    }
-    return k.xMinusAlphaPDotRangeF32(a32, p.data(), x.data(), kp.data(),
-                                     r.data(),
-                                     static_cast<Index>(p.size()));
-}
-
-Real
-precondApplyDotF32(const FloatVector& inv_diag, const FloatVector& r,
-                   FloatVector& d)
-{
-    checkSameSizeF32(inv_diag, r, "precondApplyDotF32");
-    checkSameSizeF32(r, d, "precondApplyDotF32");
-    ProfileScope profile(ProfilePhase::Precond);
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (chunkedReduction(r.size())) {
-        return chunkedSum(static_cast<Index>(r.size()),
-                          [&](Index b, Index e) {
-                              return k.precondApplyDotRangeF32(
-                                  inv_diag.data() + b, r.data() + b,
-                                  d.data() + b, e - b);
-                          });
-    }
-    return k.precondApplyDotRangeF32(inv_diag.data(), r.data(), d.data(),
-                                     static_cast<Index>(r.size()));
-}
-
-void
-axpbyF32(Real alpha, const FloatVector& x, Real beta,
-         const FloatVector& y, FloatVector& out)
-{
-    checkSameSizeF32(x, y, "axpbyF32");
-    out.resize(x.size());
-    ProfileScope profile(ProfilePhase::FusedVectorOps);
-    const auto a32 = static_cast<float>(alpha);
-    const auto b32 = static_cast<float>(beta);
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (parallelWorthwhile(x.size())) {
-        ThreadPool::global().parallelFor(
-            0, static_cast<Index>(x.size()), kParallelGrain,
-            [&](Index b, Index e) {
-                k.axpbyRangeF32(a32, x.data() + b, b32, y.data() + b,
-                                out.data() + b, e - b);
-            });
-        return;
-    }
-    k.axpbyRangeF32(a32, x.data(), b32, y.data(), out.data(),
-                    static_cast<Index>(x.size()));
-}
-
-void
-castToF32(const Vector& x, FloatVector& out)
-{
-    out.resize(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        out[i] = static_cast<float>(x[i]);
-}
-
-void
-widenF32(const FloatVector& x, Vector& out)
-{
-    out.resize(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        out[i] = static_cast<Real>(x[i]);
 }
 
 } // namespace rsqp

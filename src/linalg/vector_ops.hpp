@@ -5,11 +5,12 @@
  * instruction set (Table 1): linear combination, element-wise
  * compare/reciprocal/multiplication and dot product.
  *
- * Vectors at or above kParallelThreshold elements fan out across the
- * shared ThreadPool (see common/thread_pool.hpp). Reductions (dot,
- * norm2, normInf*) switch to a fixed-grain chunked evaluation at that
- * size regardless of the thread count, so their bitwise result depends
- * only on the data — never on how many threads ran them.
+ * Every kernel runs serially on the calling thread. Sum reductions
+ * (dot, norm2 and the fused CG kernels) switch to a fixed-grain
+ * chunked evaluation at kParallelThreshold elements: kParallelGrain
+ * chunks combined in ascending order, so their bitwise result depends
+ * only on the data. Max reductions (normInf*) are exact in any order
+ * and run as one range.
  *
  * The per-chunk arithmetic dispatches through the SIMD kernel table
  * (linalg/simd_kernels.hpp): every reduction and fused kernel uses the
@@ -46,7 +47,7 @@ Real dot(const Vector& x, const Vector& y);
  * pass instead of two. z may alias y (then the dot reads the updated
  * y, exactly like composing axpy + dot). The reduction uses the same
  * fixed-grain chunking as dot(), so the result is bitwise-identical to
- * the composed ops at any thread count.
+ * the composed ops.
  */
 Real axpyDot(Real alpha, const Vector& x, Vector& y, const Vector& z);
 
@@ -55,7 +56,7 @@ Real axpyDot(Real alpha, const Vector& x, Vector& y, const Vector& z);
  * pass, returning dot(r, r) of the updated residual. Collapses the
  * three separate sweeps (two axpy + one norm) of a textbook CG
  * iteration into a single read of p/kp and write of x/r. Bitwise
- * equal to the composed ops at any thread count.
+ * equal to the composed ops.
  */
 Real xMinusAlphaPDot(Real alpha, const Vector& p, Vector& x,
                      const Vector& kp, Vector& r);
@@ -63,7 +64,7 @@ Real xMinusAlphaPDot(Real alpha, const Vector& p, Vector& x,
 /**
  * Fused Jacobi preconditioner apply: d[i] = inv_diag[i] * r[i],
  * returning dot(r, d). One pass instead of the apply + dot pair.
- * Bitwise equal to the composed ops at any thread count.
+ * Bitwise equal to the composed ops.
  */
 Real precondApplyDot(const Vector& inv_diag, const Vector& r, Vector& d);
 
@@ -98,17 +99,12 @@ void ewSqrt(const Vector& x, Vector& out);
 /** All elements finite? */
 bool allFinite(const Vector& x);
 
-/**
- * Any NaN/Inf element? Chunked like the other reductions, so the
- * answer (and the scan order behind it) is identical at every thread
- * count. The watchdog's preferred screen: !allFinite with the same
- * deterministic-parallel guarantees as the norms.
- */
+/** Any NaN/Inf element? The watchdog's preferred screen (!allFinite). */
 bool hasNonFinite(const Vector& x);
 
 /**
  * Infinity norm that propagates NaN deterministically: returns quiet
- * NaN if any element is non-finite at every thread count (plain
+ * NaN if any element is non-finite (plain
  * normInf's max-reduction silently drops NaN because
  * max(NaN, x) == x). Use wherever a poisoned vector must poison the
  * residual instead of vanishing.
@@ -117,41 +113,6 @@ Real normInfChecked(const Vector& x);
 
 /** Constant vector helper. */
 Vector constantVector(Index n, Real value);
-
-// ---------------------------------------------------------------------
-// fp32-storage kernels of the mixed-precision PCG mode. Elementwise
-// math runs in fp32 (the simulated datapath's MAC precision); every
-// reduction accumulates in fp64 through the same fixed-grain chunking
-// as the fp64 kernels, so the inner solve is deterministic across
-// thread counts and ISA levels too.
-// ---------------------------------------------------------------------
-
-/** fp64-accumulated dot product over fp32 storage. */
-Real dotF32(const FloatVector& x, const FloatVector& y);
-
-/**
- * Fused fp32 CG iterate update: x += alpha p and r -= alpha kp in
- * fp32, returning the fp64-accumulated dot(r, r).
- */
-Real xMinusAlphaPDotF32(Real alpha, const FloatVector& p, FloatVector& x,
-                        const FloatVector& kp, FloatVector& r);
-
-/**
- * Fused fp32 Jacobi apply: d = inv_diag .* r in fp32, returning the
- * fp64-accumulated dot(r, d).
- */
-Real precondApplyDotF32(const FloatVector& inv_diag, const FloatVector& r,
-                        FloatVector& d);
-
-/** fp32 out = alpha x + beta y (out may alias x or y). */
-void axpbyF32(Real alpha, const FloatVector& x, Real beta,
-              const FloatVector& y, FloatVector& out);
-
-/** Round a fp64 vector into fp32 storage (out resized to match). */
-void castToF32(const Vector& x, FloatVector& out);
-
-/** Widen fp32 storage back to fp64 (out resized to match). */
-void widenF32(const FloatVector& x, Vector& out);
 
 } // namespace rsqp
 

@@ -8,7 +8,6 @@
 #define RSQP_OSQP_SETTINGS_HPP
 
 #include "backends/backend_config.hpp"
-#include "common/execution.hpp"
 #include "common/fault_injection.hpp"
 #include "common/types.hpp"
 #include "osqp/recovery.hpp"
@@ -57,25 +56,6 @@ struct OsqpSettings
     KktBackend backend = KktBackend::DirectLdl;
     OrderingKind ordering = OrderingKind::Rcm;  ///< direct backend only
     PcgSettings pcg;                            ///< indirect backend only
-
-    /**
-     * Execution-resource knobs (host threads for the hot-path vector
-     * kernels and PCG). Results never depend on the thread count:
-     * the serial-vs-chunked summation order of a reduction is picked
-     * by vector length alone (kParallelThreshold), so vectors at or
-     * above the threshold use the fixed-grain chunked order even at
-     * numThreads = 1 — bitwise-identical across settings, but not to
-     * a plain left-to-right accumulation. Below the threshold every
-     * kernel is the exact legacy serial loop.
-     */
-    ExecutionConfig execution;
-
-    /** Effective thread count of this solve's hot path. */
-    Index
-    resolvedNumThreads() const
-    {
-        return execution.numThreads;
-    }
 
     bool recordTrace = false;  ///< keep per-iteration residual history
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "linalg/vector_ops.hpp"
@@ -97,20 +96,9 @@ OsqpSolver::rebuildKktSolver()
       case KktBackend::IndirectPcg:
         kkt_ = std::make_unique<IndirectKktSolver>(
             scaled_.pUpper, scaled_.a, sigmaEff_, rhoVec_,
-            effectivePcgSettings());
+            settings_.pcg);
         break;
     }
-}
-
-PcgSettings
-OsqpSolver::effectivePcgSettings() const
-{
-    // The execution-level precision knob enables mixed precision even
-    // when the caller never touched the nested PcgSettings.
-    PcgSettings pcg = settings_.pcg;
-    if (settings_.execution.precision == PrecisionMode::MixedFp32)
-        pcg.precision = PrecisionMode::MixedFp32;
-    return pcg;
 }
 
 bool
@@ -336,8 +324,6 @@ OsqpSolver::solve()
     TELEMETRY_SPAN("admm.solve");
     Timer solve_timer;
     AccumulatingTimer kkt_timer;
-    // Route the settings knob to the vector kernels and PCG below.
-    NumThreadsScope threads_scope(settings_.resolvedNumThreads());
 
     OsqpResult result;
     OsqpInfo& info = result.info;
@@ -346,8 +332,6 @@ OsqpSolver::solve()
     info.iterations = 0;
     info.rhoUpdates = 0;
     info.pcgIterationsTotal = 0;
-    info.refinementSweepsTotal = 0;
-    info.fp64Rescues = 0;
     info.hotPath = HotPathProfile{};
     info.recovery = RecoveryReport{};
     info.telemetry = SolveTelemetry{};
@@ -477,28 +461,21 @@ OsqpSolver::solve()
             z_prev_accept = z_;
 
         // Step 3: solve the (reduced) KKT system.
-        parallelForRange(n_, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                rhs_x[static_cast<std::size_t>(j)] =
-                    sigmaEff_ * x_[static_cast<std::size_t>(j)] -
-                    scaled_.q[static_cast<std::size_t>(j)];
-        });
-        parallelForRange(m_, [&](Index ib, Index ie) {
-            for (Index i = ib; i < ie; ++i)
-                rhs_z[static_cast<std::size_t>(i)] =
-                    z_in[static_cast<std::size_t>(i)] -
-                    rhoInvVec_[static_cast<std::size_t>(i)] *
-                        y_in[static_cast<std::size_t>(i)];
-        });
+        for (Index j = 0; j < n_; ++j)
+            rhs_x[static_cast<std::size_t>(j)] =
+                sigmaEff_ * x_[static_cast<std::size_t>(j)] -
+                scaled_.q[static_cast<std::size_t>(j)];
+        for (Index i = 0; i < m_; ++i)
+            rhs_z[static_cast<std::size_t>(i)] =
+                z_in[static_cast<std::size_t>(i)] -
+                rhoInvVec_[static_cast<std::size_t>(i)] *
+                    y_in[static_cast<std::size_t>(i)];
         kkt_timer.start();
         const KktSolveStats kstats =
             kkt_->solve(rhs_x, rhs_z, x_tilde, z_tilde);
         kkt_timer.stop();
         ++info.telemetry.kktSolves;
         info.pcgIterationsTotal += kstats.pcgIterations;
-        info.refinementSweepsTotal += kstats.refinementSweeps;
-        if (kstats.fp64Rescue)
-            ++info.fp64Rescues;
         if (kstats.usedFallback) {
             info.recovery.record(RecoveryAction::PcgDirectFallback, iter,
                                  toString(kstats.pcgBreakdown));
@@ -506,24 +483,20 @@ OsqpSolver::solve()
         }
 
         // Steps 5-7: relaxation, projection, dual update.
-        parallelForRange(n_, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                x_[static_cast<std::size_t>(j)] =
-                    alpha * x_tilde[static_cast<std::size_t>(j)] +
-                    (1.0 - alpha) * x_[static_cast<std::size_t>(j)];
-        });
-        parallelForRange(m_, [&](Index ib, Index ie) {
-            for (Index i = ib; i < ie; ++i) {
-                const auto s = static_cast<std::size_t>(i);
-                const Real z_relaxed =
-                    alpha * z_tilde[s] + (1.0 - alpha) * z_in[s];
-                proj_arg[s] = z_relaxed + rhoInvVec_[s] * y_in[s];
-                const Real z_next =
-                    clampReal(proj_arg[s], scaled_.l[s], scaled_.u[s]);
-                y_[s] = y_in[s] + rhoVec_[s] * (z_relaxed - z_next);
-                z_[s] = z_next;
-            }
-        });
+        for (Index j = 0; j < n_; ++j)
+            x_[static_cast<std::size_t>(j)] =
+                alpha * x_tilde[static_cast<std::size_t>(j)] +
+                (1.0 - alpha) * x_[static_cast<std::size_t>(j)];
+        for (Index i = 0; i < m_; ++i) {
+            const auto s = static_cast<std::size_t>(i);
+            const Real z_relaxed =
+                alpha * z_tilde[s] + (1.0 - alpha) * z_in[s];
+            proj_arg[s] = z_relaxed + rhoInvVec_[s] * y_in[s];
+            const Real z_next =
+                clampReal(proj_arg[s], scaled_.l[s], scaled_.u[s]);
+            y_[s] = y_in[s] + rhoVec_[s] * (z_relaxed - z_next);
+            z_[s] = z_next;
+        }
 
         if (accel_on) {
             // Momentum residual c_k: how far the accepted (z, y) moved
@@ -543,15 +516,13 @@ OsqpSolver::solve()
                     (1.0 +
                      std::sqrt(1.0 + 4.0 * accel_theta * accel_theta));
                 const Real beta = (accel_theta - 1.0) / theta_next;
-                parallelForRange(m_, [&](Index ib, Index ie) {
-                    for (Index i = ib; i < ie; ++i) {
-                        const auto s = static_cast<std::size_t>(i);
-                        z_hat[s] = z_[s] +
-                            beta * (z_[s] - z_prev_accept[s]);
-                        y_hat[s] =
-                            y_[s] + beta * (y_[s] - y_prev[s]);
-                    }
-                });
+                for (Index i = 0; i < m_; ++i) {
+                    const auto s = static_cast<std::size_t>(i);
+                    z_hat[s] = z_[s] +
+                        beta * (z_[s] - z_prev_accept[s]);
+                    y_hat[s] =
+                        y_[s] + beta * (y_[s] - y_prev[s]);
+                }
                 accel_theta = theta_next;
                 accel_c_prev = c_k;
             } else {
@@ -717,12 +688,6 @@ OsqpSolver::solve()
             static_cast<Real>(tele.kktSolves)
         : 0.0;
     tele.isaLevel = isaLevelName(simd::activeIsaLevel());
-    tele.precision = precisionModeName(
-        settings_.backend == KktBackend::IndirectPcg
-            ? effectivePcgSettings().precision
-            : PrecisionMode::Fp64);
-    tele.refinementSweeps = info.refinementSweepsTotal;
-    tele.fp64Rescues = info.fp64Rescues;
     tele.recoveryEvents =
         static_cast<Count>(info.recovery.events.size());
     tele.faultsInjected = faultInjector_ != nullptr
@@ -740,9 +705,6 @@ OsqpSolver::solve()
         static telemetry::Counter& pcg_iterations = registry.counter(
             "rsqp_admm_pcg_iterations_total",
             "Inner PCG iterations executed");
-        static telemetry::Counter& refinement_sweeps = registry.counter(
-            "rsqp_admm_refinement_sweeps_total",
-            "fp64 iterative-refinement sweeps of mixed-precision PCG");
         static telemetry::Counter& rho_updates = registry.counter(
             "rsqp_admm_rho_updates_total", "Adaptive-rho refactors");
         static telemetry::Counter& recoveries = registry.counter(
@@ -754,8 +716,6 @@ OsqpSolver::solve()
         iterations.add(static_cast<std::uint64_t>(info.iterations));
         pcg_iterations.add(
             static_cast<std::uint64_t>(info.pcgIterationsTotal));
-        refinement_sweeps.add(
-            static_cast<std::uint64_t>(info.refinementSweepsTotal));
         rho_updates.add(static_cast<std::uint64_t>(info.rhoUpdates));
         recoveries.add(
             static_cast<std::uint64_t>(tele.recoveryEvents));

@@ -118,8 +118,6 @@ class OsqpSolver
     void buildRhoVec(Real rho_bar);
     void rebuildKktSolver();
 
-    /** PcgSettings with the execution-level precision knob applied. */
-    PcgSettings effectivePcgSettings() const;
 
     /** Unscaled residuals + tolerances; fills the four outputs. */
     void computeResiduals(const Vector& x, const Vector& y,

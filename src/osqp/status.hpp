@@ -67,11 +67,6 @@ struct OsqpInfo
     Real dualRes = 0.0;
     Index rhoUpdates = 0;
     Count pcgIterationsTotal = 0;
-    /// fp64 iterative-refinement sweeps (mixed-precision PCG only).
-    Count refinementSweepsTotal = 0;
-    /// KKT steps where the mixed-precision path stalled and a full
-    /// fp64 PCG solve finished the step.
-    Count fp64Rescues = 0;
 
     double setupTime = 0.0;    ///< seconds spent in setup()
     double solveTime = 0.0;    ///< seconds spent in solve()

@@ -281,19 +281,6 @@ validateSettings(const OsqpSettings& settings)
             << settings.checkInterval;
         addIssue(report, ValidationCode::InvalidSetting, msg.str());
     }
-    if (!(settings.pcg.mixedInnerEpsRel > 0.0 &&
-          settings.pcg.mixedInnerEpsRel < 1.0)) {
-        std::ostringstream msg;
-        msg << "pcg.mixedInnerEpsRel must be in (0, 1), got "
-            << settings.pcg.mixedInnerEpsRel;
-        addIssue(report, ValidationCode::InvalidSetting, msg.str());
-    }
-    if (settings.pcg.maxRefinementSweeps < 1) {
-        std::ostringstream msg;
-        msg << "pcg.maxRefinementSweeps must be >= 1, got "
-            << settings.pcg.maxRefinementSweeps;
-        addIssue(report, ValidationCode::InvalidSetting, msg.str());
-    }
     return report;
 }
 

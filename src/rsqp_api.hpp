@@ -9,7 +9,6 @@
  *
  *   rsqp::QpProblem qp = ...;        // P (upper CSC), q, A, l, u
  *   rsqp::OsqpSettings settings;     // defaults follow OSQP
- *   settings.execution.numThreads = 4;
  *
  *   // Reference CPU solve:
  *   rsqp::OsqpSolver cpu(qp, settings);

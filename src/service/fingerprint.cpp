@@ -123,9 +123,9 @@ fingerprintCustomization(const QpProblem& problem,
     absorbStructure(digest, problem.pUpper);
     absorbStructure(digest, problem.a);
 
-    // Design knobs that change the frozen artifact. numThreads and
-    // faultInjection are per-instance host concerns, overridden at
-    // thaw time, so they stay out of the key.
+    // Design knobs that change the frozen artifact. faultInjection is
+    // a per-instance host concern, overridden at thaw time, so it
+    // stays out of the key.
     digest.word(static_cast<std::uint64_t>(settings.c));
     digest.word((settings.customizeStructures ? 1u : 0u) |
                 (settings.compressCvb ? 2u : 0u) |

@@ -27,8 +27,6 @@ resolveMaxConcurrency(const ServiceConfig& config)
 {
     if (config.maxConcurrency != 0)
         return config.maxConcurrency;
-    if (config.execution.numThreads > 0)
-        return static_cast<unsigned>(config.execution.numThreads);
     return static_cast<unsigned>(effectiveNumThreads());
 }
 

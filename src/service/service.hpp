@@ -81,10 +81,10 @@ struct ServiceConfig
     /** Max requests waiting across all sessions; overflow is shed
      *  from a lower class or Rejected. */
     std::size_t maxQueueDepth = 64;
-    /** Max sessions solving at once on a single-core fleet (0 =
-     *  execution.numThreads, then effectiveNumThreads() when that is 0
-     *  too). With coreCount > 1 concurrency is the fleet's slot
-     *  capacity instead (see FleetConfig::slotsPerCore). */
+    /** Max sessions solving at once on a single-core fleet (0 = the
+     *  host's hardware thread count). With coreCount > 1 concurrency is
+     *  the fleet's slot capacity instead (see
+     *  FleetConfig::slotsPerCore). */
     unsigned maxConcurrency = 0;
     /** Customization-cache capacity in artifacts per core partition
      *  (0 disables). */
@@ -96,8 +96,6 @@ struct ServiceConfig
     Real retryAfterFloorSeconds = 0.001;
     /** Per-class weights and depth bounds of the admission plane. */
     AdmissionConfig admission;
-    /** Execution resources: default concurrency cap of the service. */
-    ExecutionConfig execution;
     /** Enable the global trace recorder for the service's lifetime. */
     bool tracing = false;
     /** Device-fleet shape: core count, placement policy, interleaving. */

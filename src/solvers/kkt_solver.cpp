@@ -123,10 +123,6 @@ IndirectKktSolver::IndirectKktSolver(const CscMatrix& p_upper,
 {
     warmX_.assign(static_cast<std::size_t>(p_upper.cols()), 0.0);
     pcgWorkspace_.resize(static_cast<std::size_t>(p_upper.cols()));
-    if (pcgSettings_.precision == PrecisionMode::MixedFp32) {
-        op_.enableFp32Mirror();
-        mixedWorkspace_.resize(static_cast<std::size_t>(p_upper.cols()));
-    }
 }
 
 bool
@@ -172,21 +168,14 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
     PcgSettings effective = pcgSettings_;
     effective.epsRel = pcgSettings_.effectiveEpsRel(solveCount_++);
     effective.adaptiveTolerance = false;
-    const PcgResult pcg =
-        pcgSettings_.precision == PrecisionMode::MixedFp32
-            ? pcgSolveMixed(op_, precond_, reducedRhs_, x_tilde,
-                            effective, mixedWorkspace_)
-            : pcgSolve(op_, precond_, reducedRhs_, x_tilde, effective,
-                       pcgWorkspace_);
+    const PcgResult pcg = pcgSolve(op_, precond_, reducedRhs_, x_tilde,
+                                   effective, pcgWorkspace_);
     lastPcgIters_ = pcg.iterations;
     totalPcgIters_ += pcg.iterations;
 
     KktSolveStats stats;
     stats.pcgIterations = pcg.iterations;
     stats.pcgBreakdown = pcg.breakdown;
-    stats.refinementSweeps = pcg.refinementSweeps;
-    stats.usedMixedPrecision = pcg.usedMixedPrecision;
-    stats.fp64Rescue = pcg.fp64Rescue;
 
     if (pcg.breakdown != PcgBreakdown::None) {
         RSQP_WARN("pcg breakdown (", toString(pcg.breakdown),

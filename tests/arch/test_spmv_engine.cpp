@@ -184,9 +184,8 @@ TEST(SpmvEngine, Fp32DatapathApproximatesFp64)
 TEST(SpmvEngine, LeadingAccumulateSegmentIsNotDropped)
 {
     // A hand-built stream that *opens* with an accumulate segment (a
-    // carry into nothing, executed with carry = 0 by the serial walk):
-    // chain precomputation must still start chain 0 at segment 0, or
-    // the chained execution silently drops the leading rows.
+    // carry into nothing, executed with carry = 0): the lane-stream
+    // walk must still execute it instead of dropping the leading rows.
     const Index c = 4;
     PackedMatrix packed;
     packed.c = c;

@@ -2,21 +2,17 @@
  * @file
  * Tests of the shared worker pool: range coverage, zero/one-element
  * ranges, exception propagation, nested parallelFor/submit, pool
- * reuse, and the determinism contract of the partitioned reductions
- * (bitwise-identical results at any worker count).
+ * reuse and the NumThreadsScope override.
  */
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/random.hpp"
 #include "common/thread_pool.hpp"
 
 namespace rsqp
@@ -31,9 +27,6 @@ TEST(ThreadPool, ZeroLengthRangeIsANoop)
     pool.parallelFor(5, 5, 1, [&](Index, Index) { ++calls; });
     pool.parallelFor(7, 3, 1, [&](Index, Index) { ++calls; });
     EXPECT_EQ(calls.load(), 0);
-    EXPECT_EQ(pool.reduceSum(0, 0, 4,
-                             [](Index, Index) { return 1.0; }),
-              0.0);
 }
 
 TEST(ThreadPool, OneElementRange)
@@ -169,80 +162,6 @@ TEST(ThreadPool, ReuseAcrossManyRegions)
         }, 4);
         ASSERT_EQ(total.load(), 999) << "round " << round;
     }
-}
-
-TEST(ThreadPool, ReduceSumDeterministicAcrossWorkerCounts)
-{
-    ThreadPool pool(8);
-    Rng rng(99);
-    const Index n = 100000;
-    Vector x(static_cast<std::size_t>(n));
-    for (Real& v : x)
-        v = rng.normal();
-    auto partial = [&](Index b, Index e) {
-        Real acc = 0.0;
-        for (Index i = b; i < e; ++i)
-            acc += x[static_cast<std::size_t>(i)];
-        return acc;
-    };
-    const Real serial = pool.reduceSum(0, n, kParallelGrain, partial, 1);
-    for (unsigned workers : {2u, 3u, 8u}) {
-        for (int repeat = 0; repeat < 3; ++repeat) {
-            const Real parallel = pool.reduceSum(0, n, kParallelGrain,
-                                                 partial, workers);
-            // Bitwise equality, not a tolerance.
-            ASSERT_EQ(std::memcmp(&serial, &parallel, sizeof(Real)), 0)
-                << "workers " << workers << " repeat " << repeat;
-        }
-    }
-}
-
-TEST(ThreadPool, ReduceSumMatchesExplicitChunkOrder)
-{
-    ThreadPool pool(4);
-    Rng rng(7);
-    const Index n = 20000;
-    const Index grain = 1024;
-    Vector x(static_cast<std::size_t>(n));
-    for (Real& v : x)
-        v = rng.normal();
-    auto partial = [&](Index b, Index e) {
-        Real acc = 0.0;
-        for (Index i = b; i < e; ++i)
-            acc += x[static_cast<std::size_t>(i)];
-        return acc;
-    };
-    // Reference: explicit fixed-grain partials combined in order.
-    Real expected = 0.0;
-    bool first = true;
-    for (Index b = 0; b < n; b += grain) {
-        const Real p = partial(b, std::min(b + grain, n));
-        expected = first ? p : expected + p;
-        first = false;
-    }
-    const Real got = pool.reduceSum(0, n, grain, partial);
-    EXPECT_EQ(std::memcmp(&expected, &got, sizeof(Real)), 0);
-}
-
-TEST(ThreadPool, ReduceMaxFindsTheMaximum)
-{
-    ThreadPool pool(4);
-    const Index n = 50000;
-    Vector x(static_cast<std::size_t>(n));
-    for (Index i = 0; i < n; ++i)
-        x[static_cast<std::size_t>(i)] =
-            static_cast<Real>((i * 2654435761u) % 100003);
-    auto partial = [&](Index b, Index e) {
-        Real best = -1.0;
-        for (Index i = b; i < e; ++i)
-            best = std::max(best, x[static_cast<std::size_t>(i)]);
-        return best;
-    };
-    const Real serial = pool.reduceMax(0, n, 512, -1.0, partial, 1);
-    const Real parallel = pool.reduceMax(0, n, 512, -1.0, partial, 8);
-    EXPECT_EQ(serial, parallel);
-    EXPECT_EQ(serial,
-              *std::max_element(x.begin(), x.end()));
 }
 
 TEST(ThreadPool, NumThreadsScopeOverridesAndRestores)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "core/rsqp_solver.hpp"
 #include "linalg/vector_ops.hpp"
 #include "osqp/solver.hpp"
@@ -234,10 +235,10 @@ TEST(RsqpSolverFaults, InjectedRunsTerminateTypedAndFinite)
 TEST(RsqpSolverFaults, InjectionIsDeterministicAcrossNumThreads)
 {
     const QpProblem qp = generateProblem(Domain::Svm, 30, 55);
+    // The ambient pool width must not leak into a single solve.
     auto run = [&](Index threads) {
-        CustomizeSettings custom = injectionCustom(11, 5e-4);
-        custom.execution.numThreads = threads;
-        RsqpSolver solver(qp, settingsFor(), custom);
+        NumThreadsScope scope(threads);
+        RsqpSolver solver(qp, settingsFor(), injectionCustom(11, 5e-4));
         return solver.solve();
     };
     const RsqpResult serial = run(1);

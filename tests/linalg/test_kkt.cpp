@@ -172,8 +172,7 @@ TEST_F(KktFixture, ReducedOperatorSetRho)
  * with fewer than 8 non-zeros still match it bit for bit (the striped
  * kernel's tail is the retired serial loop); longer rows reduce in
  * the canonical 8-lane striped order and agree to rounding only —
- * the bitwise contract is now cross-thread and cross-ISA instead
- * (see ApplyBitwiseIdenticalAcrossThreadCounts and
+ * the bitwise contract is cross-ISA instead (see
  * tests/linalg/test_simd_kernels.cpp).
  */
 Vector
@@ -255,9 +254,9 @@ TEST(ReducedKktOperator, CsrApplyMatchesCscOnSuiteProblems)
 
 TEST(ReducedKktOperator, ApplyBitwiseIdenticalAcrossThreadCounts)
 {
-    // Big enough (n above kParallelThreshold) that the row-gathers fan
-    // out across the pool; the fixed-grain reduction contract makes
-    // the output thread-invariant.
+    // Big enough (n above kParallelThreshold) that a pool-backed apply
+    // would fan out; the serial row-gather must ignore the ambient
+    // thread count.
     const QpProblem qp = generateProblem(Domain::Lasso, 5000, 78);
     Vector rho(static_cast<std::size_t>(qp.numConstraints()), 0.4);
     ReducedKktOperator op(qp.pUpper, qp.a, 1e-6, rho);

@@ -3,6 +3,8 @@
  * Dense vector kernel tests (the Table 1 "Vector Operations").
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -116,7 +118,7 @@ TEST(VectorOps, ConstantVector)
         EXPECT_DOUBLE_EQ(x, 2.5);
 }
 
-/** Random vector comfortably above the parallel threshold. */
+/** Random vector of length n. */
 Vector
 bigRandomVector(Index n, std::uint64_t seed)
 {
@@ -125,6 +127,51 @@ bigRandomVector(Index n, std::uint64_t seed)
     for (Real& v : x)
         v = rng.normal();
     return x;
+}
+
+/** x[b, e) as its own vector. */
+Vector
+slice(const Vector& x, Index b, Index e)
+{
+    return Vector(x.begin() + b, x.begin() + e);
+}
+
+TEST(VectorOps, LongReductionsSumChunksInAscendingOrder)
+{
+    // A long reduction is the kParallelGrain chunks' partials added in
+    // ascending order, the sum seeded from the first chunk. Each chunk
+    // is shorter than kParallelThreshold, so the same kernel on the
+    // chunk alone gives its partial.
+    const Index n = 3 * kParallelGrain + 17;
+    const Vector x = bigRandomVector(n, 41);
+    const Vector y0 = bigRandomVector(n, 42);
+    Vector inv_diag = bigRandomVector(n, 43);
+    for (Real& v : inv_diag)
+        v = 0.5 + std::abs(v);
+
+    Real dot_ref = 0.0, axpy_ref = 0.0, precond_ref = 0.0;
+    for (Index b = 0; b < n; b += kParallelGrain) {
+        const Index e = std::min(n, b + kParallelGrain);
+        const Vector xs = slice(x, b, e);
+        Vector ys = slice(y0, b, e);
+        Vector ds(xs.size());
+        const Real dot_part = dot(xs, ys);
+        const Real precond_part =
+            precondApplyDot(slice(inv_diag, b, e), xs, ds);
+        const Real axpy_part = axpyDot(0.625, xs, ys, xs);
+        dot_ref = b == 0 ? dot_part : dot_ref + dot_part;
+        precond_ref = b == 0 ? precond_part : precond_ref + precond_part;
+        axpy_ref = b == 0 ? axpy_part : axpy_ref + axpy_part;
+    }
+
+    Vector y = y0;
+    Vector d(x.size());
+    const Real dot_got = dot(x, y0);
+    const Real precond_got = precondApplyDot(inv_diag, x, d);
+    const Real axpy_got = axpyDot(0.625, x, y, x);
+    EXPECT_EQ(std::memcmp(&dot_ref, &dot_got, sizeof(Real)), 0);
+    EXPECT_EQ(std::memcmp(&precond_ref, &precond_got, sizeof(Real)), 0);
+    EXPECT_EQ(std::memcmp(&axpy_ref, &axpy_got, sizeof(Real)), 0);
 }
 
 TEST(ThreadedVectorOps, DotBitwiseIdenticalAcrossThreadCounts)
@@ -351,8 +398,8 @@ TEST(FusedKernelEdgeCases, OutputsAreNeverResized)
 
 TEST(ThreadedVectorOps, SmallVectorsKeepTheLegacySerialPath)
 {
-    // Below the threshold the kernels must not touch the pool: the
-    // plain left-to-right sum is the legacy (pre-threading) result.
+    // Below the threshold a reduction is one range: the plain
+    // left-to-right sum is the legacy result at any thread setting.
     const Index n = kParallelThreshold - 1;
     const Vector x = bigRandomVector(n, 16);
     Real expected = 0.0;

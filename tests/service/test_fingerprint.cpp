@@ -75,11 +75,12 @@ TEST(Fingerprint, HostOnlyKnobsStayOutOfTheKey)
     const QpProblem qp = generateProblem(Domain::Eqqp, 18, 9);
     CustomizeSettings base;
     base.c = 16;
-    CustomizeSettings threaded = base;
-    threaded.execution.numThreads = 4;
+    CustomizeSettings injected = base;
+    injected.faultInjection.enabled = true;
+    injected.faultInjection.seed = 5;
 
     EXPECT_EQ(fingerprintCustomization(qp, base),
-              fingerprintCustomization(qp, threaded));
+              fingerprintCustomization(qp, injected));
 }
 
 TEST(Fingerprint, UserObjectiveIsNotCacheable)

@@ -170,7 +170,8 @@ TEST(PcgSettings, AdaptiveToleranceSchedule)
 TEST(ThreadedPcg, SolveBitwiseIdenticalAcrossThreadCounts)
 {
     // A diagonally dominant tridiagonal operator large enough to push
-    // every dot/axpy in the loop onto the chunked parallel path.
+    // every reduction in the loop onto the chunked path. The ambient
+    // pool width must not leak into the solve.
     const Index n = 3 * kParallelThreshold;
     auto apply_k = [n](const Vector& in, Vector& out) {
         out.resize(in.size());
@@ -211,7 +212,7 @@ TEST(ThreadedPcg, SolveBitwiseIdenticalAcrossThreadCounts)
         EXPECT_EQ(result.iterations, ref.iterations);
         EXPECT_EQ(result.residualNorm, ref.residualNorm);
         // The whole iterate must match bit for bit, not within an
-        // epsilon: reductions are chunked independently of threads.
+        // epsilon: the solve is serial and its chunk order fixed.
         ASSERT_EQ(x, x_ref) << "threads " << threads;
     }
 }

@@ -95,7 +95,7 @@ TEST(ServiceMetrics, ScrapeMatchesServiceStats)
 TEST(ServiceMetrics, ConcurrentScrapesStayConsistent)
 {
     ServiceConfig config;
-    config.execution.numThreads = 2;
+    config.maxConcurrency = 2;
     SolverService service(config);
     const SessionId id = service.openSession(smallConfig());
     const QpProblem qp = generateProblem(Domain::Huber, 25, 7);
