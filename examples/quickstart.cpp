@@ -64,24 +64,13 @@ main()
                 static_cast<long long>(acc.machineStats.totalCycles),
                 acc.deviceSeconds * 1e6);
 
-    // --- 4. First-order backend knobs ------------------------------------
-    // The host solve can also run on the other first-order engines:
-    // Nesterov-accelerated ADMM (momentum with residual-based restart)
-    // and restarted PDHG. BackendKind::Auto lets the per-problem
-    // selector pick and arms a mid-solve switch-on-stall.
-    OsqpSettings accel_settings = settings;
-    accel_settings.backend = KktBackend::DirectLdl;
-    accel_settings.firstOrder.method = BackendKind::AdmmAccelerated;
-    accel_settings.firstOrder.accel.restartEta = 0.999;
-    const OsqpResult acc_ref = makeBackend(qp, accel_settings)->solve();
-    std::printf("accel : status=%s x=(%.4f, %.4f) obj=%.6f iters=%d\n",
-                statusToString(acc_ref.info.status), acc_ref.x[0],
-                acc_ref.x[1], acc_ref.info.objective,
-                acc_ref.info.iterations);
-
-    OsqpSettings pdhg_settings = accel_settings;
+    // --- 4. First-order backend choice -----------------------------------
+    // The host solve can also run on restarted PDHG instead of ADMM.
+    // BackendKind::Auto lets the per-problem selector pick one of the
+    // two when the backend is built.
+    OsqpSettings pdhg_settings = settings;
+    pdhg_settings.backend = KktBackend::DirectLdl;
     pdhg_settings.firstOrder.method = BackendKind::Pdhg;
-    pdhg_settings.firstOrder.pdhg.restart = PdhgRestart::Adaptive;
     const OsqpResult pdhg_ref = makeBackend(qp, pdhg_settings)->solve();
     std::printf("pdhg  : status=%s x=(%.4f, %.4f) obj=%.6f iters=%d "
                 "restarts=%lld\n",

@@ -7,9 +7,8 @@
 namespace rsqp
 {
 
-AdmmBackend::AdmmBackend(QpProblem problem, OsqpSettings settings,
-                         BackendKind kind)
-    : solver_(std::move(problem), std::move(settings)), kind_(kind)
+AdmmBackend::AdmmBackend(QpProblem problem, OsqpSettings settings)
+    : solver_(std::move(problem), std::move(settings))
 {}
 
 OsqpResult
@@ -49,12 +48,6 @@ void
 AdmmBackend::setTimeLimit(Real seconds)
 {
     solver_.setTimeLimit(seconds);
-}
-
-void
-AdmmBackend::setIterationBudget(Index max_iter)
-{
-    solver_.setIterationBudget(max_iter);
 }
 
 const ValidationReport&

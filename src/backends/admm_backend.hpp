@@ -6,10 +6,7 @@
  * refactor of it: the default configuration must stay bit-for-bit
  * identical to the pre-subsystem solver, and the cheapest way to prove
  * that is to not touch the loop at all — the wrapper only delegates
- * and bumps the per-backend registry counters. The same wrapper serves
- * BackendKind::AdmmAccelerated: the factory force-enables the
- * firstOrder.accel knob and the acceleration lives (fully gated)
- * inside the OsqpSolver loop itself.
+ * and bumps the per-backend registry counters.
  */
 
 #ifndef RSQP_BACKENDS_ADMM_BACKEND_HPP
@@ -25,10 +22,7 @@ namespace rsqp
 class AdmmBackend final : public QpBackend
 {
   public:
-    /** `kind` is Admm or AdmmAccelerated (selects the telemetry
-     *  label; the accel knob must already be set accordingly). */
-    AdmmBackend(QpProblem problem, OsqpSettings settings,
-                BackendKind kind = BackendKind::Admm);
+    AdmmBackend(QpProblem problem, OsqpSettings settings);
 
     OsqpResult solve() override;
     bool warmStart(const Vector& x, const Vector& y) override;
@@ -37,9 +31,8 @@ class AdmmBackend final : public QpBackend
     void updateMatrixValues(const std::vector<Real>& p_values,
                             const std::vector<Real>& a_values) override;
     void setTimeLimit(Real seconds) override;
-    void setIterationBudget(Index max_iter) override;
     const ValidationReport& validation() const override;
-    BackendKind kind() const override { return kind_; }
+    BackendKind kind() const override { return BackendKind::Admm; }
     Index numVariables() const override;
     Index numConstraints() const override;
 
@@ -48,7 +41,6 @@ class AdmmBackend final : public QpBackend
 
   private:
     OsqpSolver solver_;
-    BackendKind kind_;
 };
 
 } // namespace rsqp

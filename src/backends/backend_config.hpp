@@ -3,26 +3,20 @@
  * Configuration of the pluggable first-order backend subsystem.
  *
  * This header is deliberately leaf-level (it depends only on
- * common/types.hpp) so osqp/settings.hpp can embed the knobs without
- * the osqp library depending on the backends library: the settings
- * travel with OsqpSettings, the engines live in src/backends.
+ * common/types.hpp) so osqp/settings.hpp can embed the choice without
+ * the osqp library depending on the backends library: the setting
+ * travels with OsqpSettings, the engines live in src/backends.
  *
- * Three first-order methods share the SolveStatus/OsqpInfo/
+ * Two first-order methods share the SolveStatus/OsqpInfo/
  * SolveTelemetry contract:
  *
- *  - Admm            — the existing OSQP ADMM loop (default; solves
- *                      with the default configuration are bitwise
- *                      identical to the pre-subsystem solver);
- *  - AdmmAccelerated — the same loop with Nesterov momentum on the
- *                      (z, y) pair and a residual-based restart
- *                      (Goldstein et al., "Fast ADMM");
- *  - Pdhg            — a restarted primal-dual hybrid gradient
- *                      engine in the PDLP/PDQP style (arXiv
- *                      2311.07710): matrix-free, adaptive primal-dual
- *                      step-size balancing, average/Halpern restarts;
- *  - Auto            — per-problem selection by BackendSelector from
- *                      structure features, with an optional mid-solve
- *                      switch when the observed convergence stalls.
+ *  - Admm  — the OSQP ADMM loop (default);
+ *  - Pdhg  — a restarted primal-dual hybrid gradient engine in the
+ *            PDLP/PDQP style (arXiv 2311.07710): matrix-free,
+ *            adaptive primal-dual step-size balancing, adaptive
+ *            restarts to the running average;
+ *  - Auto  — a static per-problem pick between the two, made once by
+ *            chooseBackend() when the backend is built.
  */
 
 #ifndef RSQP_BACKENDS_BACKEND_CONFIG_HPP
@@ -36,13 +30,12 @@ namespace rsqp
 /** Which first-order engine answers a solve. */
 enum class BackendKind
 {
-    Admm,             ///< OSQP ADMM loop (default)
-    AdmmAccelerated,  ///< Nesterov-accelerated ADMM with restart
-    Pdhg,             ///< restarted PDHG/PDQP engine
-    Auto,             ///< per-problem BackendSelector choice
+    Admm,  ///< OSQP ADMM loop (default)
+    Pdhg,  ///< restarted PDHG/PDQP engine
+    Auto,  ///< chooseBackend() picks Admm or Pdhg at build time
 };
 
-/** Printable backend name ("admm", "admm-accel", "pdhg", "auto"). */
+/** Printable backend name ("admm", "pdhg", "auto"). */
 // Inline so rsqp_osqp can stringify its telemetry label without
 // linking the backends library (settings.hpp pulls this header in).
 inline const char*
@@ -50,187 +43,17 @@ backendKindName(BackendKind kind)
 {
     switch (kind) {
     case BackendKind::Admm: return "admm";
-    case BackendKind::AdmmAccelerated: return "admm-accel";
     case BackendKind::Pdhg: return "pdhg";
     case BackendKind::Auto: return "auto";
     }
     return "unknown";
 }
 
-/**
- * Nesterov acceleration of the ADMM loop (opt-in). The momentum
- * sequence follows Goldstein et al.: hat iterates
- * (z^, y^) extrapolate the accepted (z, y) with weight
- * (theta_k - 1) / theta_{k+1}; the combined momentum residual
- * c_k = sum_i rho_i (z_i - z^_i)^2 + sum_i (1/rho_i)(y_i - y^_i)^2
- * must decay by restartEta per iteration or the momentum restarts
- * (theta = 1, hats snapped back to the accepted iterates). Weak
- * convexity makes the restart essential: without it the momentum
- * sequence can cycle.
- */
-struct AcceleratedAdmmSettings
-{
-    /**
-     * Master switch. Off by default so the plain ADMM path stays
-     * bitwise-identical to the pre-backend-subsystem solver; the
-     * BackendKind::AdmmAccelerated factory path force-enables it.
-     */
-    bool enabled = false;
-
-    /** Required per-iteration decay of the momentum residual. */
-    Real restartEta = 0.999;
-};
-
-/** Restart strategy of the PDHG engine. */
-enum class PdhgRestart
-{
-    None,            ///< raw PDHG (sublinear tail; mostly for ablation)
-    FixedFrequency,  ///< restart to the running average every interval
-    Adaptive,        ///< restart on sufficient merit decay or stall
-    Halpern,         ///< anchor every step to the last restart point
-};
-
-/** Printable restart-mode name. */
-inline const char*
-pdhgRestartName(PdhgRestart restart)
-{
-    switch (restart) {
-    case PdhgRestart::None: return "none";
-    case PdhgRestart::FixedFrequency: return "fixed-frequency";
-    case PdhgRestart::Adaptive: return "adaptive";
-    case PdhgRestart::Halpern: return "halpern";
-    }
-    return "unknown";
-}
-
-/** Knobs of the restarted PDHG/PDQP engine. */
-struct PdhgConfig
-{
-    /** Restart strategy (Adaptive matches the PDLP/PDQP default). */
-    PdhgRestart restart = PdhgRestart::Adaptive;
-
-    /**
-     * FixedFrequency: iterations between average restarts. Also the
-     * Adaptive mode's forced-restart ceiling — a restart fires at the
-     * latest after this many iterations in one epoch.
-     */
-    Index restartInterval = 120;
-
-    /**
-     * Adaptive: restart as soon as the scaled merit (max of primal
-     * and dual residual) fell to this fraction of its value at the
-     * last restart. PDLP's "sufficient decay" trigger.
-     */
-    Real restartBeta = 0.2;
-
-    /**
-     * Initial primal weight omega (tau = omega / eta, sigma =
-     * 1 / (omega * eta) with eta the estimated ||A||). 0 picks the
-     * data-driven default ||q|| / max(||l||,||u||,1) clamp.
-     */
-    Real primalWeight = 0.0;
-
-    /**
-     * Adapt omega at restart points from the observed primal/dual
-     * displacement ratio (log-space smoothing, PDLP Section 4.2).
-     */
-    bool adaptiveStepBalance = true;
-
-    /** Smoothing exponent of the primal-weight update in [0, 1]. */
-    Real stepBalanceSmoothing = 0.5;
-
-    /**
-     * Warm-up rebalances: the first N residual checks of a solve each
-     * force a restart whose primal-weight update uses full strength
-     * (no smoothing), so omega locks onto the observed dual/primal
-     * displacement ratio within checkInterval iterations instead of
-     * drifting toward it over several restart epochs. 0 disables.
-     */
-    Index warmupChecks = 1;
-
-    /** Clamp for the adapted primal weight (and its reciprocal). */
-    Real primalWeightMax = 1e4;
-
-    /** Power-iteration sweeps for the ||A|| / lambda_max(P) bounds. */
-    Index powerIterations = 20;
-
-    /** Safety margin multiplied onto the power-iteration estimates. */
-    Real stepSafety = 1.05;
-};
-
-/**
- * Per-session backend selection policy: problem-class features from
- * the structure fingerprint choose the starting backend; the observed
- * convergence rate can switch a stalling solve to the other engine.
- */
-struct SelectorConfig
-{
-    /**
-     * Mid-solve switch-on-stall. The Auto driver then runs the chosen
-     * backend in iteration slices and re-evaluates progress between
-     * slices; a stalled solve switches engines once, warm-started
-     * from the current iterate.
-     */
-    bool midSolveSwitch = true;
-
-    /** Iterations per Auto-mode slice (progress re-evaluated after
-     *  each). Also the minimum investment before a switch. */
-    Index switchCheckIterations = 250;
-
-    /**
-     * Stall threshold: switch when one slice shrank the combined
-     * residual by less than this factor (1 = any non-improvement;
-     * 0 disables). A slice that converged, proved infeasibility, or
-     * hit a limit never switches.
-     */
-    Real minProgressFactor = 0.5;
-
-    /** Engine switches one Auto solve may perform. */
-    Index maxSwitches = 1;
-
-    /**
-     * Equality-constraint fraction at or above which the selector
-     * prefers ADMM (the per-constraint stiff-rho trick converges
-     * fast on equality-dominated problems; PDHG has no equivalent).
-     */
-    Real equalityFractionAdmm = 0.6;
-
-    /**
-     * Minimum equality fraction for the PDHG route. PDHG pays off on
-     * *mixed* constraint sets, where a single fixed ADMM penalty must
-     * compromise between stiff equality rows and loose inequality
-     * rows; with no equalities at all one rho fits every row and ADMM
-     * keeps the edge (measured: control yes, svm no).
-     */
-    Real equalityFractionPdhgMin = 0.2;
-
-    /**
-     * Constraint-to-variable ratio (m/n) at or above which
-     * inequality-dominated problems route to PDHG: tall, loosely
-     * bounded systems are where the restarted primal-dual method's
-     * iteration counts beat ADMM's fixed-rho plateaus.
-     */
-    Real tallRatioPdhg = 1.25;
-
-    /** Problem size (n + m) below which ADMM always wins the pick
-     *  (setup and per-iteration costs dwarf iteration-count gaps). */
-    Index smallProblemThreshold = 400;
-};
-
 /** First-order method selection riding on OsqpSettings. */
 struct FirstOrderSettings
 {
-    /** Which engine (or Auto selection) answers solve(). */
+    /** Which engine (or the Auto pick) answers solve(). */
     BackendKind method = BackendKind::Admm;
-
-    /** Nesterov-accelerated ADMM knobs (and its opt-in switch). */
-    AcceleratedAdmmSettings accel;
-
-    /** Restarted PDHG engine knobs. */
-    PdhgConfig pdhg;
-
-    /** Auto-mode selection and mid-solve switch policy. */
-    SelectorConfig selector;
 };
 
 } // namespace rsqp

@@ -25,19 +25,8 @@ recordBackendSolve(const char* backend, const OsqpInfo& info)
     if (info.telemetry.restarts > 0)
         registry
             .counter("rsqp_backend_restarts_total" + label,
-                     "Momentum/average restarts per backend")
+                     "Average restarts per backend")
             .add(static_cast<std::uint64_t>(info.telemetry.restarts));
-}
-
-void
-recordBackendSwitch(const char* from_backend, const char* to_backend)
-{
-    using telemetry::MetricsRegistry;
-    MetricsRegistry::global()
-        .counter(std::string("rsqp_backend_switches_total{from=\"") +
-                     from_backend + "\",to=\"" + to_backend + "\"}",
-                 "Auto-driver mid-solve engine switches")
-        .increment();
 }
 
 } // namespace rsqp

@@ -22,9 +22,6 @@ namespace rsqp
  */
 void recordBackendSolve(const char* backend, const OsqpInfo& info);
 
-/** Bump `rsqp_backend_switches_total` (Auto-driver mid-solve switch). */
-void recordBackendSwitch(const char* from_backend, const char* to_backend);
-
 } // namespace rsqp
 
 #endif // RSQP_BACKENDS_BACKEND_METRICS_HPP

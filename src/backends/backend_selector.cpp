@@ -3,6 +3,38 @@
 namespace rsqp
 {
 
+namespace
+{
+
+/**
+ * Equality-constraint fraction at or above which the selector keeps
+ * ADMM (the per-constraint stiff-rho trick converges fast on
+ * equality-dominated problems; PDHG has no equivalent).
+ */
+constexpr Real kEqualityFractionAdmm = 0.6;
+
+/**
+ * Minimum equality fraction for the PDHG route. PDHG pays off on
+ * *mixed* constraint sets, where a single fixed ADMM penalty must
+ * compromise between stiff equality rows and loose inequality rows;
+ * with no equalities at all one rho fits every row and ADMM keeps the
+ * edge (measured: control yes, svm no).
+ */
+constexpr Real kEqualityFractionPdhgMin = 0.2;
+
+/**
+ * Constraint-to-variable ratio (m/n) at or above which mixed problems
+ * route to PDHG: tall, loosely bounded systems are where the restarted
+ * primal-dual method beats ADMM's fixed-rho plateaus.
+ */
+constexpr Real kTallRatioPdhg = 1.25;
+
+/** Problem size (n + m) below which ADMM always wins the pick (setup
+ *  and per-iteration costs dwarf iteration-count gaps). */
+constexpr Index kSmallProblemThreshold = 400;
+
+} // namespace
+
 BackendFeatures
 computeBackendFeatures(const QpProblem& problem)
 {
@@ -48,17 +80,16 @@ computeBackendFeatures(const QpProblem& problem)
 }
 
 BackendKind
-chooseBackend(const BackendFeatures& features,
-              const SelectorConfig& config)
+chooseBackend(const BackendFeatures& features)
 {
     // Small problems: setup costs dwarf any iteration-count gap, and
     // the direct KKT factor is unbeatable. Never leave ADMM.
-    if (features.n + features.m < config.smallProblemThreshold)
+    if (features.n + features.m < kSmallProblemThreshold)
         return BackendKind::Admm;
 
     // Equality-dominated: the per-constraint stiff-rho trick is the
     // decisive advantage, PDHG has no equivalent.
-    if (features.equalityFraction >= config.equalityFractionAdmm)
+    if (features.equalityFraction >= kEqualityFractionAdmm)
         return BackendKind::Admm;
 
     // Tall problems with a *mixed* constraint set: restarted PDHG's
@@ -66,17 +97,17 @@ chooseBackend(const BackendFeatures& features,
     // stiff equality rows and the loose inequality rows there; PDHG's
     // adaptive primal weight sidesteps the compromise. All-inequality
     // tall problems (svm) stay ADMM — one rho fits every row.
-    if (features.tallRatio >= config.tallRatioPdhg &&
-        features.equalityFraction >= config.equalityFractionPdhgMin)
+    if (features.tallRatio >= kTallRatioPdhg &&
+        features.equalityFraction >= kEqualityFractionPdhgMin)
         return BackendKind::Pdhg;
 
     return BackendKind::Admm;
 }
 
 BackendKind
-chooseBackend(const QpProblem& problem, const SelectorConfig& config)
+chooseBackend(const QpProblem& problem)
 {
-    return chooseBackend(computeBackendFeatures(problem), config);
+    return chooseBackend(computeBackendFeatures(problem));
 }
 
 } // namespace rsqp

@@ -4,12 +4,13 @@
  *
  * The selector reduces a QP to a handful of problem-class features —
  * the same structural quantities the customization fingerprint hashes
- * (sizes, nnz, constraint-type mix, aspect ratio) — and applies the
- * SelectorConfig thresholds to pick the starting engine. It is a pure
- * function: same problem, same config, same choice, on every host.
+ * (sizes, nnz, constraint-type mix, aspect ratio) — and applies four
+ * fixed thresholds to pick the engine makeBackend() builds for
+ * BackendKind::Auto. It is a pure function: same problem, same choice,
+ * on every host.
  *
- * The rationale baked into the defaults (measured on the bench suite,
- * see bench_backends):
+ * The rationale baked into the thresholds (measured on the bench
+ * suite, see bench_backends):
  *
  *  - equality-dominated problems (control, eqqp) keep ADMM: the
  *    per-constraint stiff-rho trick resolves equalities in tens of
@@ -23,7 +24,7 @@
  *    solve). All-inequality tall problems (svm) stay ADMM: one rho
  *    fits every row;
  *  - small problems always keep ADMM — a direct KKT factor solves
- *    them in milliseconds and the selector should never risk a switch.
+ *    them in milliseconds.
  */
 
 #ifndef RSQP_BACKENDS_BACKEND_SELECTOR_HPP
@@ -51,16 +52,11 @@ struct BackendFeatures
 /** Extract the selection features from a problem (pure, cheap). */
 BackendFeatures computeBackendFeatures(const QpProblem& problem);
 
-/**
- * The policy: ADMM or PDHG for this feature vector (never returns
- * Auto/AdmmAccelerated — acceleration is an explicit caller opt-in).
- */
-BackendKind chooseBackend(const BackendFeatures& features,
-                          const SelectorConfig& config);
+/** The policy: ADMM or PDHG for this feature vector (never Auto). */
+BackendKind chooseBackend(const BackendFeatures& features);
 
 /** Convenience overload: features computed internally. */
-BackendKind chooseBackend(const QpProblem& problem,
-                          const SelectorConfig& config);
+BackendKind chooseBackend(const QpProblem& problem);
 
 } // namespace rsqp
 

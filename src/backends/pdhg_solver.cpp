@@ -21,44 +21,39 @@ namespace
 {
 
 /**
- * Additional settings checks specific to this engine (the shared
- * validateSettings already covers alpha/rho/tolerance ranges).
+ * Restart ceiling: an epoch restarts to its running average at the
+ * latest after this many iterations.
  */
-void
-validatePdhgKnobs(const PdhgConfig& pdhg, ValidationReport& report)
-{
-    const auto add = [&report](std::string message) {
-        ValidationIssue issue;
-        issue.code = ValidationCode::InvalidSetting;
-        issue.message = std::move(message);
-        report.issues.push_back(std::move(issue));
-    };
-    if (pdhg.restartInterval < 1)
-        add("pdhg.restartInterval must be >= 1, got " +
-            std::to_string(pdhg.restartInterval));
-    if (!(pdhg.restartBeta > 0.0 && pdhg.restartBeta < 1.0))
-        add("pdhg.restartBeta must be in (0, 1), got " +
-            std::to_string(pdhg.restartBeta));
-    if (pdhg.primalWeight < 0.0)
-        add("pdhg.primalWeight must be >= 0 (0 = automatic), got " +
-            std::to_string(pdhg.primalWeight));
-    if (!(pdhg.stepBalanceSmoothing >= 0.0 &&
-          pdhg.stepBalanceSmoothing <= 1.0))
-        add("pdhg.stepBalanceSmoothing must be in [0, 1], got " +
-            std::to_string(pdhg.stepBalanceSmoothing));
-    if (!(pdhg.primalWeightMax > 1.0))
-        add("pdhg.primalWeightMax must be > 1, got " +
-            std::to_string(pdhg.primalWeightMax));
-    if (pdhg.warmupChecks < 0)
-        add("pdhg.warmupChecks must be >= 0, got " +
-            std::to_string(pdhg.warmupChecks));
-    if (pdhg.powerIterations < 1)
-        add("pdhg.powerIterations must be >= 1, got " +
-            std::to_string(pdhg.powerIterations));
-    if (!(pdhg.stepSafety >= 1.0))
-        add("pdhg.stepSafety must be >= 1, got " +
-            std::to_string(pdhg.stepSafety));
-}
+constexpr Index kRestartInterval = 120;
+
+/**
+ * Sufficient-decay trigger (PDLP): restart as soon as the merit (max
+ * of primal and dual residual) fell to this fraction of its value at
+ * the last restart.
+ */
+constexpr Real kRestartBeta = 0.2;
+
+/** Log-space smoothing exponent of the primal-weight update. */
+constexpr Real kStepBalanceSmoothing = 0.5;
+
+/**
+ * Warm-up rebalances: the first N residual checks of a solve each
+ * force an in-place restart whose primal-weight update uses full
+ * strength (no smoothing), so omega locks onto the observed
+ * dual/primal displacement ratio within checkInterval iterations
+ * instead of drifting toward it over several restart epochs.
+ */
+constexpr Index kWarmupChecks = 1;
+
+/** Clamp for the primal weight (and its reciprocal). */
+constexpr Real kPrimalWeightMax = 1e4;
+
+/** Power-iteration sweeps for the ||A|| / lambda_max(P) bounds. */
+constexpr Index kPowerIterations = 20;
+
+/** Safety margin multiplied onto the power-iteration estimates and
+ *  the step-size condition. */
+constexpr Real kStepSafety = 1.05;
 
 /** Deterministic pseudo-random unit vector for power iteration. */
 void
@@ -86,7 +81,6 @@ PdhgSolver::PdhgSolver(QpProblem problem, OsqpSettings settings)
     Timer setup_timer;
 
     validation_ = validateSettings(settings_);
-    validatePdhgKnobs(settings_.firstOrder.pdhg, validation_);
     ValidationReport problem_report = validateProblem(original_);
     validation_.issues.insert(validation_.issues.end(),
                               problem_report.issues.begin(),
@@ -130,15 +124,12 @@ PdhgSolver::rebuildMirrors()
 void
 PdhgSolver::estimateOperatorNorms()
 {
-    const Index sweeps = settings_.firstOrder.pdhg.powerIterations;
-    const Real margin = settings_.firstOrder.pdhg.stepSafety;
-
     // ||A||_2 via power iteration on A'A.
     if (m_ > 0 && scaled_.a.nnz() > 0) {
         Vector v, av, atav;
         seedPowerVector(v, static_cast<std::size_t>(n_));
         Real lam = 0.0;
-        for (Index k = 0; k < sweeps; ++k) {
+        for (Index k = 0; k < kPowerIterations; ++k) {
             const Real nv = norm2(v);
             if (!(nv > 0.0))
                 break;
@@ -148,7 +139,7 @@ PdhgSolver::estimateOperatorNorms()
             lam = norm2(atav);  // Rayleigh bound ||A'Av|| >= lambda
             v = atav;
         }
-        etaA_ = std::max(std::sqrt(std::max(lam, Real(0.0))) * margin,
+        etaA_ = std::max(std::sqrt(std::max(lam, Real(0.0))) * kStepSafety,
                          Real(1e-12));
     } else {
         etaA_ = 1e-12;
@@ -159,7 +150,7 @@ PdhgSolver::estimateOperatorNorms()
         Vector v, pv;
         seedPowerVector(v, static_cast<std::size_t>(n_));
         Real lam = 0.0;
-        for (Index k = 0; k < sweeps; ++k) {
+        for (Index k = 0; k < kPowerIterations; ++k) {
             const Real nv = norm2(v);
             if (!(nv > 0.0))
                 break;
@@ -168,7 +159,7 @@ PdhgSolver::estimateOperatorNorms()
             lam = norm2(pv);
             v = pv;
         }
-        lamP_ = std::max(lam, Real(0.0)) * margin;
+        lamP_ = std::max(lam, Real(0.0)) * kStepSafety;
     } else {
         lamP_ = 0.0;
     }
@@ -179,18 +170,13 @@ PdhgSolver::applyStepSizes()
 {
     // sigma = omega / ||A||; tau from the Condat–Vũ condition
     // tau (lam_P/2 + sigma ||A||^2) <= 1 with the safety margin.
-    const Real margin = settings_.firstOrder.pdhg.stepSafety;
     sigma_ = omega_ / etaA_;
-    tau_ = 1.0 / (margin * (0.5 * lamP_ + omega_ * etaA_));
+    tau_ = 1.0 / (kStepSafety * (0.5 * lamP_ + omega_ * etaA_));
 }
 
 Real
 PdhgSolver::initialPrimalWeight() const
 {
-    const Real configured = settings_.firstOrder.pdhg.primalWeight;
-    const Real cap = settings_.firstOrder.pdhg.primalWeightMax;
-    if (configured > 0.0)
-        return clampReal(configured, 1.0 / cap, cap);
     // PDLP-style data-driven default: balance the primal gradient
     // magnitude against the bound magnitude (infinite bounds excluded).
     const Real nq = norm2(scaled_.q);
@@ -206,7 +192,7 @@ PdhgSolver::initialPrimalWeight() const
     nb = std::sqrt(nb);
     if (!(nq > 0.0) || !(nb > 0.0))
         return 1.0;
-    return clampReal(nq / nb, 1.0 / cap, cap);
+    return clampReal(nq / nb, 1.0 / kPrimalWeightMax, kPrimalWeightMax);
 }
 
 bool
@@ -390,8 +376,6 @@ PdhgSolver::solve()
         return result;
     }
 
-    const PdhgConfig& cfg = settings_.firstOrder.pdhg;
-
     // Soft-error source for the operator stream (tests/bench only);
     // each solve sees a fresh deterministic fault pattern.
     FaultScope fault_scope(faultInjector_.get());
@@ -540,25 +524,7 @@ PdhgSolver::solve()
         }
         ++epoch_len;
 
-        if (cfg.restart == PdhgRestart::Halpern) {
-            // Halpern anchoring: blend every iterate back toward the
-            // epoch anchor with weight 1/(k+2) — the rAPDHG scheme
-            // that restores an O(1/k) rate on the fixed-point residual.
-            const Real lambda =
-                1.0 / static_cast<Real>(epoch_len + 1);
-            for (Index j = 0; j < n_; ++j) {
-                const auto s = static_cast<std::size_t>(j);
-                x_[s] = (1.0 - lambda) * x_next[s] +
-                    lambda * x_anchor[s];
-            }
-            for (Index i = 0; i < m_; ++i) {
-                const auto s = static_cast<std::size_t>(i);
-                y_[s] = (1.0 - lambda) * y_[s] +
-                    lambda * y_anchor[s];
-            }
-        } else {
-            x_.swap(x_next);
-        }
+        x_.swap(x_next);
 
         // Running average of the epoch (restart target).
         for (Index j = 0; j < n_; ++j)
@@ -652,45 +618,16 @@ PdhgSolver::solve()
 
         // --- Restart logic -------------------------------------------
         const Real merit = std::max(res.primRes, res.dualRes);
-        bool do_restart = false;
-        bool to_average = false;
         // Warm-up rebalance: the first few checks restart in place
-        // with a full-strength omega update (see PdhgConfig).
-        const bool warmup_now = cfg.adaptiveStepBalance &&
-            warmups_done < cfg.warmupChecks &&
-            cfg.restart != PdhgRestart::None;
-        if (warmup_now) {
-            do_restart = true;
+        // with a full-strength omega update (see kWarmupChecks).
+        const bool warmup_now = warmups_done < kWarmupChecks;
+        if (warmup_now)
             ++warmups_done;
-        } else {
-            switch (cfg.restart) {
-            case PdhgRestart::None:
-                break;
-            case PdhgRestart::FixedFrequency:
-                if (epoch_len >= cfg.restartInterval) {
-                    do_restart = true;
-                    to_average = true;
-                }
-                break;
-            case PdhgRestart::Adaptive:
-                // Sufficient decay since the last restart, or the
-                // forced ceiling — whichever fires first.
-                if (merit <= cfg.restartBeta * restart_merit ||
-                    epoch_len >= cfg.restartInterval) {
-                    do_restart = true;
-                    to_average = true;
-                }
-                break;
-            case PdhgRestart::Halpern:
-                // Anchor refresh only; the iterate is anchored already.
-                if (epoch_len >= cfg.restartInterval)
-                    do_restart = true;
-                break;
-            }
-        }
-
-        if (do_restart) {
-            if (to_average && epoch_len > 0) {
+        // Otherwise restart to the epoch average on sufficient decay
+        // since the last restart, or at the forced ceiling.
+        if (warmup_now || merit <= kRestartBeta * restart_merit ||
+            epoch_len >= kRestartInterval) {
+            if (!warmup_now && epoch_len > 0) {
                 const Real inv =
                     1.0 / static_cast<Real>(epoch_len);
                 for (Index j = 0; j < n_; ++j) {
@@ -703,25 +640,17 @@ PdhgSolver::solve()
                 }
             }
 
-            if (cfg.adaptiveStepBalance) {
-                // PDLP primal-weight update: move omega toward the
-                // observed dual/primal displacement ratio in log space.
-                const Real dx = normInfDiff(x_, x_anchor);
-                const Real dy = normInfDiff(y_, y_anchor);
-                if (dx > 1e-12 && dy > 1e-12) {
-                    const Real cap =
-                        settings_.firstOrder.pdhg.primalWeightMax;
-                    const Real s = warmup_now
-                        ? 1.0
-                        : settings_.firstOrder.pdhg
-                              .stepBalanceSmoothing;
-                    const Real target = std::log(dy / dx);
-                    omega_ = clampReal(
-                        std::exp(s * target +
-                                 (1.0 - s) * std::log(omega_)),
-                        1.0 / cap, cap);
-                    applyStepSizes();
-                }
+            // PDLP primal-weight update: move omega toward the
+            // observed dual/primal displacement ratio in log space.
+            const Real dx = normInfDiff(x_, x_anchor);
+            const Real dy = normInfDiff(y_, y_anchor);
+            if (dx > 1e-12 && dy > 1e-12) {
+                const Real s = warmup_now ? 1.0 : kStepBalanceSmoothing;
+                const Real target = std::log(dy / dx);
+                omega_ = clampReal(
+                    std::exp(s * target + (1.0 - s) * std::log(omega_)),
+                    1.0 / kPrimalWeightMax, kPrimalWeightMax);
+                applyStepSizes();
             }
 
             reset_epoch();

@@ -19,9 +19,9 @@
  * with ||A|| and lam_P = lambda_max(P) bounded by power iteration at
  * setup. A primal weight omega balances the two step sizes
  * (sigma = omega/||A||) and is adapted at restart points from the
- * observed primal/dual displacement ratio. Restarts (fixed-frequency
- * or adaptive to the running average, or Halpern anchoring) recover
- * the linear convergence plain PDHG lacks on QPs.
+ * observed primal/dual displacement ratio. Adaptive restarts to the
+ * running average (on sufficient merit decay, or at a fixed ceiling)
+ * recover the linear convergence plain PDHG lacks on QPs.
  *
  * Everything runs serially on the shared deterministic kernels:
  * CSR-mirror SpMV (SIMD row-gather), fixed-grain chunked reductions
@@ -67,10 +67,6 @@ class PdhgSolver final : public QpBackend
     {
         settings_.timeLimit = seconds;
     }
-    void setIterationBudget(Index max_iter) override
-    {
-        settings_.maxIter = max_iter;
-    }
     const ValidationReport& validation() const override
     {
         return validation_;
@@ -97,7 +93,7 @@ class PdhgSolver final : public QpBackend
     /** tau/sigma from (omega_, etaA_, lamP_) with the safety margin. */
     void applyStepSizes();
 
-    /** Data-driven initial primal weight (config 0 = automatic). */
+    /** Data-driven initial primal weight ||q|| / ||[l; u]||. */
     Real initialPrimalWeight() const;
 
     /** Rebuild the CSR execution mirrors from the scaled CSC data. */

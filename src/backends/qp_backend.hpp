@@ -4,12 +4,12 @@
  *
  * A QpBackend is "one QP structure, set up once, solved many times" —
  * exactly the OsqpSolver contract the service layer already programs
- * against — with the engine behind it swappable: the classic ADMM
- * loop, its Nesterov-accelerated variant, the restarted PDHG engine,
- * or the Auto driver that picks (and can mid-solve switch) between
- * them. Every implementation returns the same OsqpResult with
+ * against — with the engine behind it swappable: the classic ADMM loop
+ * or the restarted PDHG engine. Both return the same OsqpResult with
  * SolveStatus / OsqpInfo / SolveTelemetry semantics, so callers,
  * telemetry pipelines and bench artifacts never care which method ran.
+ * BackendKind::Auto is not an engine: makeBackend() resolves it once,
+ * through chooseBackend(), to one of the two.
  *
  * Like OsqpSolver, construction never throws on caller input: a
  * malformed problem or settings leaves the backend inert and every
@@ -62,17 +62,10 @@ class QpBackend
     /** Wall-clock budget of subsequent solve() calls (0 = no limit). */
     virtual void setTimeLimit(Real seconds) = 0;
 
-    /**
-     * Iteration budget of subsequent solve() calls. The Auto driver
-     * uses this to run an engine in slices, re-evaluating progress
-     * (and possibly switching engines) between them.
-     */
-    virtual void setIterationBudget(Index max_iter) = 0;
-
     /** Setup diagnostics (ok() unless the backend is inert). */
     virtual const ValidationReport& validation() const = 0;
 
-    /** Which engine this is (Auto for the driver). */
+    /** Which engine this is (Admm or Pdhg, never Auto). */
     virtual BackendKind kind() const = 0;
 
     /** Printable engine name. */
@@ -83,11 +76,9 @@ class QpBackend
 };
 
 /**
- * Build the backend selected by settings.firstOrder.method:
- * Admm / AdmmAccelerated wrap the OsqpSolver loop (the default Admm
- * configuration is bit-for-bit the pre-subsystem solver), Pdhg builds
- * the restarted primal-dual engine, Auto builds the selector-driven
- * BackendDriver.
+ * Build the backend selected by settings.firstOrder.method: Admm wraps
+ * the OsqpSolver loop, Pdhg builds the restarted primal-dual engine,
+ * and Auto builds whichever of the two chooseBackend(problem) picks.
  */
 std::unique_ptr<QpBackend> makeBackend(QpProblem problem,
                                        OsqpSettings settings);

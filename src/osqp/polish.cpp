@@ -1,5 +1,6 @@
 #include "polish.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -146,15 +147,28 @@ polishSolution(const QpProblem& problem, const OsqpSettings& settings,
     if (!allFinite(t))
         return report;
 
-    // Candidate polished point.
+    // Candidate polished point. It solves the guessed equality system
+    // exactly, so (x, y, A x) would score zero residuals whatever the
+    // guess. Judge it as a point of the real QP instead: z is A x
+    // projected onto [l, u], so a violated bound shows up in the
+    // primal residual, and each active dual is clipped to the sign its
+    // bound allows (<= 0 at l, >= 0 at u; free on an equality row), so
+    // a wrong-signed multiplier shows up in the dual residual. A row
+    // was guessed active at l exactly when its ADMM dual is negative.
     Vector x_pol(t.begin(), t.begin() + n);
     Vector y_pol(static_cast<std::size_t>(m), 0.0);
-    for (Index k = 0; k < ma; ++k)
-        y_pol[static_cast<std::size_t>(
-            active_rows[static_cast<std::size_t>(k)])] =
-            t[static_cast<std::size_t>(n + k)];
-    Vector z_pol;
-    problem.a.spmv(x_pol, z_pol);
+    for (Index k = 0; k < ma; ++k) {
+        const auto row = static_cast<std::size_t>(
+            active_rows[static_cast<std::size_t>(k)]);
+        Real y_k = t[static_cast<std::size_t>(n + k)];
+        if (problem.l[row] < problem.u[row])
+            y_k = result.y[row] < 0.0 ? std::min(y_k, Real(0.0))
+                                      : std::max(y_k, Real(0.0));
+        y_pol[row] = y_k;
+    }
+    Vector ax_pol, z_pol;
+    problem.a.spmv(x_pol, ax_pol);
+    ewClamp(ax_pol, problem.l, problem.u, z_pol);
 
     const ResidualInfo after = computeResiduals(
         problem, x_pol, y_pol, z_pol, settings.epsAbs, settings.epsRel);

@@ -10,9 +10,10 @@
  *   [ A_act        -delta*I ] [ y ] = [ b_act ]
  *
  * with a few steps of iterative refinement against the unregularized
- * system. The polished point typically satisfies the KKT conditions to
- * near machine precision; it is adopted only if it improves both
- * residuals.
+ * system. The polished point is scored on the real QP — z = Pi_[l,u](A x)
+ * and active duals clipped to their bound's sign — and adopted only if
+ * neither residual gets worse; with a correct guess it satisfies the
+ * KKT conditions to near machine precision.
  */
 
 #ifndef RSQP_OSQP_POLISH_HPP

@@ -77,10 +77,8 @@ struct OsqpSettings
     FaultInjectionConfig faultInjection;
 
     /**
-     * First-order backend selection (makeBackend factory) plus the
-     * accelerated-ADMM and PDHG engine knobs. The default
-     * (BackendKind::Admm, acceleration off) is bit-for-bit the
-     * pre-backend-subsystem ADMM loop.
+     * First-order engine the makeBackend factory builds (ADMM by
+     * default; OsqpSolver itself always runs ADMM).
      */
     FirstOrderSettings firstOrder;
 };

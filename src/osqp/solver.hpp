@@ -83,16 +83,6 @@ class OsqpSolver
     void setTimeLimit(Real seconds) { settings_.timeLimit = seconds; }
 
     /**
-     * Replace the iteration budget of subsequent solve() calls. The
-     * Auto backend driver uses this (like setTimeLimit) to run the
-     * loop in slices without rebuilding the solver.
-     */
-    void setIterationBudget(Index max_iter)
-    {
-        settings_.maxIter = max_iter;
-    }
-
-    /**
      * Replace the numeric values of P and/or A keeping the sparsity
      * structure (pass empty vectors to keep current values). Values are
      * in the *original* (unscaled) CSC order of the setup matrices.

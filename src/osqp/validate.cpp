@@ -253,13 +253,6 @@ validateSettings(const OsqpSettings& settings)
             << settings.adaptiveRhoTolerance;
         addIssue(report, ValidationCode::InvalidSetting, msg.str());
     }
-    if (!(settings.firstOrder.accel.restartEta > 0.0 &&
-          settings.firstOrder.accel.restartEta <= 1.0)) {
-        std::ostringstream msg;
-        msg << "firstOrder.accel.restartEta must be in (0, 1], got "
-            << settings.firstOrder.accel.restartEta;
-        addIssue(report, ValidationCode::InvalidSetting, msg.str());
-    }
     if (!(settings.rho > 0.0)) {
         std::ostringstream msg;
         msg << "rho must be positive, got " << settings.rho;

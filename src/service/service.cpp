@@ -481,29 +481,6 @@ SolverService::solve(SessionId id, QpProblem problem,
     return submit(id, std::move(problem), options).get();
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-std::future<SessionResult>
-SolverService::submit(SessionId id, QpProblem problem,
-                      Real deadline_seconds)
-{
-    SubmitOptions options;
-    options.deadlineSeconds = deadline_seconds;
-    return submit(id, std::move(problem), options);
-}
-
-SessionResult
-SolverService::solve(SessionId id, QpProblem problem,
-                     Real deadline_seconds)
-{
-    SubmitOptions options;
-    options.deadlineSeconds = deadline_seconds;
-    return solve(id, std::move(problem), options);
-}
-
-#pragma GCC diagnostic pop
-
 void
 SolverService::placeReadyLocked(SessionId id, SessionState& state)
 {

@@ -10,8 +10,7 @@
  * service lock, with the request's SessionResult; it returns a
  * RequestToken that cancel() can revoke while the request still waits
  * in the queue. submit() is a thin future adapter over submitAsync(),
- * and solve() is submit().get(). The old positional-deadline
- * overloads forward to the same path and are deprecated.
+ * and solve() is submit().get().
  *
  * The service owns one SolverSession per client and a SolverFleet of
  * N simulated solver cores (each with its own customization-cache
@@ -210,19 +209,6 @@ class SolverService
     /** submit() + get(): the synchronous convenience path. */
     SessionResult solve(SessionId id, QpProblem problem,
                         SubmitOptions options = {});
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    /** @deprecated Pass SubmitOptions{.deadlineSeconds = ...}. */
-    [[deprecated("pass SubmitOptions instead of a positional deadline")]]
-    std::future<SessionResult> submit(SessionId id, QpProblem problem,
-                                      Real deadline_seconds);
-
-    /** @deprecated Pass SubmitOptions{.deadlineSeconds = ...}. */
-    [[deprecated("pass SubmitOptions instead of a positional deadline")]]
-    SessionResult solve(SessionId id, QpProblem problem,
-                        Real deadline_seconds);
-#pragma GCC diagnostic pop
 
     /** Block until no request is queued or running. */
     void waitIdle();

@@ -49,8 +49,7 @@ SolverSession::rebuild(const QpProblem& problem, bool cacheable,
 {
     if (config_.engine == SessionEngine::Host) {
         // Route through the backend factory: settings.firstOrder picks
-        // ADMM (default, bit-for-bit the old path), accelerated ADMM,
-        // PDHG, or the Auto selector driver.
+        // ADMM (default), PDHG, or the selector's static Auto pick.
         host_ = makeBackend(problem, config_.osqp);
         haveSolver_ = true;
         return;

@@ -31,7 +31,6 @@ SolveTelemetry::toJson() const
     std::ostringstream os;
     os << "{\"backend\":\"" << backend
        << "\",\"restarts\":" << restarts
-       << ",\"backend_switches\":" << backendSwitches
        << ",\"iterations\":" << iterations
        << ",\"kkt_solves\":" << kktSolves
        << ",\"pcg_iterations_total\":" << pcgIterationsTotal

@@ -50,18 +50,14 @@ inline constexpr std::size_t kResidualTailCapacity = 8;
 struct SolveTelemetry
 {
     /**
-     * First-order engine that produced the result ("admm",
-     * "admm-accel", "pdhg"; after an Auto-driver mid-solve switch,
-     * the engine that finished). Empty only on results that never
-     * reached a solver (rejected/shedded service requests).
+     * First-order engine that produced the result ("admm" or "pdhg").
+     * Empty only on results that never reached a solver
+     * (rejected/shedded service requests).
      */
     std::string backend;
 
-    /** Momentum/average restarts taken (accelerated ADMM and PDHG). */
+    /** Restarts to the running average taken (PDHG only). */
     Count restarts = 0;
-
-    /** Mid-solve engine switches (Auto driver only). */
-    Count backendSwitches = 0;
 
     /** First-order iterations executed. */
     Index iterations = 0;

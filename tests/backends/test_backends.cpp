@@ -2,14 +2,15 @@
  * @file
  * Backend subsystem tests: cross-backend solution equivalence, the
  * ADMM wrapper's bitwise fidelity to the raw solver, PDHG determinism
- * across thread counts, mid-solve backend-switch reproducibility,
- * settings validation, and per-backend telemetry labels/counters.
+ * across thread counts, the Auto pick's bitwise identity with the
+ * engine it selects, settings validation, and per-backend telemetry
+ * labels/counters.
  */
 
 #include <gtest/gtest.h>
 
-#include "backends/backend_driver.hpp"
-#include "backends/pdhg_solver.hpp"
+#include "backends/backend_selector.hpp"
+#include "backends/qp_backend.hpp"
 #include "common/thread_pool.hpp"
 #include "osqp/solver.hpp"
 #include "osqp/validate.hpp"
@@ -44,14 +45,16 @@ TEST(Backends, FactoryReturnsRequestedKind)
 {
     const QpProblem qp = generateProblem(Domain::Control, 8, 3);
     for (BackendKind kind :
-         {BackendKind::Admm, BackendKind::AdmmAccelerated,
-          BackendKind::Pdhg, BackendKind::Auto}) {
+         {BackendKind::Admm, BackendKind::Pdhg, BackendKind::Auto}) {
         OsqpSettings settings = baseSettings();
         settings.firstOrder.method = kind;
         std::unique_ptr<QpBackend> backend =
             makeBackend(qp, std::move(settings));
         ASSERT_NE(backend, nullptr);
-        EXPECT_EQ(backend->kind(), kind);
+        // Auto is resolved at build time to the engine that runs.
+        EXPECT_EQ(backend->kind(), kind == BackendKind::Auto
+                                       ? chooseBackend(qp)
+                                       : kind);
         EXPECT_EQ(backend->numVariables(), qp.numVariables());
         EXPECT_EQ(backend->numConstraints(), qp.numConstraints());
     }
@@ -76,28 +79,6 @@ TEST(Backends, AdmmWrapperMatchesRawSolverBitwise)
         EXPECT_EQ(got.y[i], expect.y[i]);
 }
 
-TEST(Backends, AcceleratedAdmmOffByDefaultAndBitwiseIdentical)
-{
-    // accel.enabled defaults to false, and an explicitly-disabled
-    // accelerated path must be arithmetically invisible: the hat
-    // iterates alias the accepted iterates.
-    const OsqpSettings settings;
-    EXPECT_FALSE(settings.firstOrder.accel.enabled);
-    EXPECT_EQ(settings.firstOrder.method, BackendKind::Admm);
-
-    const QpProblem qp = generateProblem(Domain::Huber, 40, 5);
-    OsqpSettings off = baseSettings();
-    off.firstOrder.accel.enabled = false;
-    OsqpSolver plain(qp, baseSettings());
-    OsqpSolver disabled(qp, off);
-    const OsqpResult a = plain.solve();
-    const OsqpResult b = disabled.solve();
-    ASSERT_EQ(a.info.status, b.info.status);
-    EXPECT_EQ(a.info.iterations, b.info.iterations);
-    for (std::size_t i = 0; i < a.x.size(); ++i)
-        EXPECT_EQ(a.x[i], b.x[i]);
-}
-
 TEST(Backends, CrossBackendSolutionEquivalence)
 {
     const struct
@@ -120,24 +101,15 @@ TEST(Backends, CrossBackendSolutionEquivalence)
 
         const OsqpResult admm =
             solveWith(qp, settings, BackendKind::Admm);
-        const OsqpResult accel =
-            solveWith(qp, settings, BackendKind::AdmmAccelerated);
         const OsqpResult pdhg =
             solveWith(qp, settings, BackendKind::Pdhg);
 
         ASSERT_EQ(admm.info.status, SolveStatus::Solved)
             << toString(c.domain);
-        ASSERT_EQ(accel.info.status, SolveStatus::Solved)
-            << toString(c.domain);
         ASSERT_EQ(pdhg.info.status, SolveStatus::Solved)
             << toString(c.domain);
 
         const Real scale = 1.0 + std::abs(admm.info.objective);
-        EXPECT_LT(
-            std::abs(accel.info.objective - admm.info.objective) /
-                scale,
-            1e-4)
-            << toString(c.domain);
         EXPECT_LT(
             std::abs(pdhg.info.objective - admm.info.objective) /
                 scale,
@@ -179,90 +151,69 @@ TEST(Backends, PdhgDeterministicAcrossThreadCounts)
     }
 }
 
-TEST(Backends, PdhgRestartDeterminismEveryMode)
+TEST(Backends, PdhgAdaptiveRestartDeterminism)
 {
+    // Adaptive restart to the running average is PDHG's only restart
+    // mode; its restart decisions must not depend on the pool size.
     const QpProblem qp = generateProblem(Domain::Svm, 30, 23);
-    for (PdhgRestart mode :
-         {PdhgRestart::None, PdhgRestart::FixedFrequency,
-          PdhgRestart::Adaptive, PdhgRestart::Halpern}) {
-        OsqpSettings settings = baseSettings();
-        settings.firstOrder.pdhg.restart = mode;
+    const OsqpSettings settings = baseSettings();
 
-        OsqpResult first, second;
-        {
-            NumThreadsScope scope(1);
-            first = solveWith(qp, settings, BackendKind::Pdhg);
-        }
-        {
-            NumThreadsScope scope(4);
-            second = solveWith(qp, settings, BackendKind::Pdhg);
-        }
-        ASSERT_EQ(first.info.status, second.info.status)
-            << pdhgRestartName(mode);
-        EXPECT_EQ(first.info.iterations, second.info.iterations)
-            << pdhgRestartName(mode);
-        for (std::size_t i = 0; i < first.x.size(); ++i)
-            ASSERT_EQ(first.x[i], second.x[i]) << pdhgRestartName(mode);
+    OsqpResult first, second;
+    {
+        NumThreadsScope scope(1);
+        first = solveWith(qp, settings, BackendKind::Pdhg);
     }
-}
-
-TEST(Backends, MidSolveSwitchIsBitwiseReproducible)
-{
-    // Control at this size routes to PDHG; with restarts and the
-    // adaptive step balance disabled and the primal weight pinned to
-    // a bad value raw PDHG crawls (~9900 iterations standalone), so
-    // the driver's stall check fires and hands the solve to ADMM.
-    const QpProblem qp = generateProblem(Domain::Control, 10, 29);
-    OsqpSettings settings = baseSettings();
-    settings.firstOrder.method = BackendKind::Auto;
-    settings.firstOrder.pdhg.restart = PdhgRestart::None;
-    settings.firstOrder.pdhg.adaptiveStepBalance = false;
-    settings.firstOrder.pdhg.primalWeight = 1e3;
-    settings.firstOrder.selector.switchCheckIterations = 100;
-    settings.firstOrder.selector.minProgressFactor = 0.5;
-
-    const auto run_once = [&](Index threads) {
-        NumThreadsScope scope(threads);
-        OsqpSettings s = settings;
-        BackendDriver driver(qp, std::move(s));
-        EXPECT_EQ(driver.chosenKind(), BackendKind::Pdhg);
-        return driver.solve();
-    };
-
-    const OsqpResult first = run_once(1);
-    ASSERT_EQ(first.info.status, SolveStatus::Solved);
-    ASSERT_GE(first.info.telemetry.backendSwitches, 1);
-    EXPECT_EQ(first.info.telemetry.backend, "admm");
-
-    for (Index threads : {1, 4}) {
-        const OsqpResult again = run_once(threads);
-        ASSERT_EQ(again.info.status, first.info.status);
-        EXPECT_EQ(again.info.iterations, first.info.iterations);
-        EXPECT_EQ(again.info.telemetry.backendSwitches,
-                  first.info.telemetry.backendSwitches);
-        ASSERT_EQ(again.x.size(), first.x.size());
-        for (std::size_t i = 0; i < first.x.size(); ++i)
-            ASSERT_EQ(again.x[i], first.x[i])
-                << threads << " threads, x[" << i << "]";
-        for (std::size_t i = 0; i < first.y.size(); ++i)
-            ASSERT_EQ(again.y[i], first.y[i])
-                << threads << " threads, y[" << i << "]";
+    {
+        NumThreadsScope scope(4);
+        second = solveWith(qp, settings, BackendKind::Pdhg);
     }
+    ASSERT_EQ(first.info.status, second.info.status);
+    EXPECT_EQ(first.info.iterations, second.info.iterations);
+    EXPECT_EQ(first.info.telemetry.restarts,
+              second.info.telemetry.restarts);
+    for (std::size_t i = 0; i < first.x.size(); ++i)
+        ASSERT_EQ(first.x[i], second.x[i]);
 }
 
 TEST(Backends, AutoMatchesSingleEngineWhenNoSwitchNeeded)
 {
-    // A well-behaved ADMM pick must sail through the sliced driver to
-    // the same solution the standalone engine reaches.
-    const QpProblem qp = generateProblem(Domain::Lasso, 40, 13);
-    OsqpSettings settings = baseSettings();
+    // Auto is the selected engine, bit for bit: lasso keeps ADMM and
+    // control at this size routes to PDHG.
+    const struct
+    {
+        Domain domain;
+        Index size;
+        BackendKind engine;
+    } cases[] = {
+        {Domain::Lasso, 40, BackendKind::Admm},
+        {Domain::Control, 40, BackendKind::Pdhg},
+    };
+    for (const auto& c : cases) {
+        const QpProblem qp = generateProblem(c.domain, c.size, 13);
+        ASSERT_EQ(chooseBackend(qp), c.engine) << toString(c.domain);
+        const OsqpSettings settings = baseSettings();
 
-    const OsqpResult admm = solveWith(qp, settings, BackendKind::Admm);
-    const OsqpResult auto_run =
-        solveWith(qp, settings, BackendKind::Auto);
-    ASSERT_EQ(auto_run.info.status, SolveStatus::Solved);
-    EXPECT_EQ(auto_run.info.telemetry.backendSwitches, 0);
-    EXPECT_EQ(auto_run.info.objective, admm.info.objective);
+        const OsqpResult engine = solveWith(qp, settings, c.engine);
+        const OsqpResult auto_run =
+            solveWith(qp, settings, BackendKind::Auto);
+        ASSERT_EQ(auto_run.info.status, SolveStatus::Solved)
+            << toString(c.domain);
+        EXPECT_EQ(auto_run.info.status, engine.info.status);
+        EXPECT_EQ(auto_run.info.telemetry.backend,
+                  backendKindName(c.engine));
+        EXPECT_EQ(auto_run.info.iterations, engine.info.iterations)
+            << toString(c.domain);
+        EXPECT_EQ(auto_run.info.objective, engine.info.objective)
+            << toString(c.domain);
+        ASSERT_EQ(auto_run.x.size(), engine.x.size());
+        for (std::size_t i = 0; i < engine.x.size(); ++i)
+            EXPECT_EQ(auto_run.x[i], engine.x[i])
+                << toString(c.domain) << " x[" << i << "]";
+        ASSERT_EQ(auto_run.y.size(), engine.y.size());
+        for (std::size_t i = 0; i < engine.y.size(); ++i)
+            EXPECT_EQ(auto_run.y[i], engine.y[i])
+                << toString(c.domain) << " y[" << i << "]";
+    }
 }
 
 TEST(Backends, TelemetryCarriesBackendLabelAndRestarts)
@@ -273,10 +224,6 @@ TEST(Backends, TelemetryCarriesBackendLabelAndRestarts)
     const OsqpResult admm = solveWith(qp, settings, BackendKind::Admm);
     EXPECT_EQ(admm.info.telemetry.backend, "admm");
     EXPECT_EQ(admm.info.telemetry.restarts, 0);
-
-    const OsqpResult accel =
-        solveWith(qp, settings, BackendKind::AdmmAccelerated);
-    EXPECT_EQ(accel.info.telemetry.backend, "admm-accel");
 
     const OsqpResult pdhg = solveWith(qp, settings, BackendKind::Pdhg);
     EXPECT_EQ(pdhg.info.telemetry.backend, "pdhg");
@@ -345,30 +292,6 @@ TEST(BackendValidation, AdaptiveRhoToleranceMustExceedOne)
 
     settings.adaptiveRhoTolerance = 5.0;
     EXPECT_TRUE(validateSettings(settings).ok());
-}
-
-TEST(BackendValidation, AccelRestartEtaRange)
-{
-    OsqpSettings settings;
-    settings.firstOrder.accel.restartEta = 0.0;
-    EXPECT_FALSE(validateSettings(settings).ok());
-    settings.firstOrder.accel.restartEta = 1.5;
-    EXPECT_FALSE(validateSettings(settings).ok());
-    settings.firstOrder.accel.restartEta = 0.999;
-    EXPECT_TRUE(validateSettings(settings).ok());
-}
-
-TEST(BackendValidation, PdhgKnobsGateTheSolveWithoutThrowing)
-{
-    const QpProblem qp = generateProblem(Domain::Control, 8, 3);
-    OsqpSettings settings = baseSettings();
-    settings.firstOrder.pdhg.restartBeta = 1.5;  // must be in (0, 1)
-
-    PdhgSolver solver(qp, settings);
-    EXPECT_FALSE(solver.validation().ok());
-    const OsqpResult result = solver.solve();
-    EXPECT_EQ(result.info.status, SolveStatus::InvalidProblem);
-    EXPECT_FALSE(result.validation.ok());
 }
 
 TEST(BackendValidation, InvalidSolverSettingsStayNonThrowing)

@@ -1,14 +1,14 @@
 /**
  * @file
  * BackendSelector tests: feature extraction on hand-built problems,
- * the policy branches against the fitted SelectorConfig defaults, and
- * the BackendDriver's routing on real suite instances.
+ * the policy branches against the fitted thresholds, and the Auto
+ * factory's routing on real suite instances.
  */
 
 #include <gtest/gtest.h>
 
-#include "backends/backend_driver.hpp"
 #include "backends/backend_selector.hpp"
+#include "backends/qp_backend.hpp"
 #include "problems/suite.hpp"
 
 namespace rsqp
@@ -79,36 +79,33 @@ TEST(Selector, FeatureExtractionHandlesEmptyConstraints)
 
 TEST(Selector, SmallProblemsAlwaysAdmm)
 {
-    SelectorConfig config;
     BackendFeatures f;
-    // A feature vector that would otherwise route to PDHG.
+    // A feature vector that would otherwise route to PDHG, below the
+    // n + m = 400 small-problem threshold.
     f.n = 100;
     f.m = 200;
     f.tallRatio = 2.0;
     f.equalityFraction = 0.4;
-    ASSERT_LT(f.n + f.m, config.smallProblemThreshold);
-    EXPECT_EQ(chooseBackend(f, config), BackendKind::Admm);
+    EXPECT_EQ(chooseBackend(f), BackendKind::Admm);
 
     // Same shape scaled past the threshold flips the choice.
     f.n = 1000;
     f.m = 2000;
-    EXPECT_EQ(chooseBackend(f, config), BackendKind::Pdhg);
+    EXPECT_EQ(chooseBackend(f), BackendKind::Pdhg);
 }
 
 TEST(Selector, EqualityDominatedStaysAdmm)
 {
-    SelectorConfig config;
     BackendFeatures f;
     f.n = 1000;
     f.m = 2000;
     f.tallRatio = 2.0;
-    f.equalityFraction = config.equalityFractionAdmm;
-    EXPECT_EQ(chooseBackend(f, config), BackendKind::Admm);
+    f.equalityFraction = 0.6;  // the equality-dominated threshold
+    EXPECT_EQ(chooseBackend(f), BackendKind::Admm);
 }
 
 TEST(Selector, TallMixedGoesPdhgAllInequalityStaysAdmm)
 {
-    SelectorConfig config;
     BackendFeatures f;
     f.n = 1000;
     f.m = 2000;
@@ -116,25 +113,24 @@ TEST(Selector, TallMixedGoesPdhgAllInequalityStaysAdmm)
 
     // Mixed equality/inequality rows: PDHG territory.
     f.equalityFraction = 0.4;
-    EXPECT_EQ(chooseBackend(f, config), BackendKind::Pdhg);
+    EXPECT_EQ(chooseBackend(f), BackendKind::Pdhg);
 
     // All-inequality tall (svm shape): one rho fits every row.
     f.equalityFraction = 0.0;
-    EXPECT_EQ(chooseBackend(f, config), BackendKind::Admm);
+    EXPECT_EQ(chooseBackend(f), BackendKind::Admm);
 
     // Square problems stay ADMM regardless of mix.
     f.tallRatio = 1.0;
     f.equalityFraction = 0.4;
-    EXPECT_EQ(chooseBackend(f, config), BackendKind::Admm);
+    EXPECT_EQ(chooseBackend(f), BackendKind::Admm);
 }
 
 TEST(Selector, PureFunctionSameChoiceOnRepeat)
 {
     const QpProblem qp = generateProblem(Domain::Control, 30, 5);
-    const SelectorConfig config;
-    const BackendKind first = chooseBackend(qp, config);
+    const BackendKind first = chooseBackend(qp);
     for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(chooseBackend(qp, config), first);
+        EXPECT_EQ(chooseBackend(qp), first);
 }
 
 TEST(Selector, DriverRoutesSuiteDomains)
@@ -157,24 +153,9 @@ TEST(Selector, DriverRoutesSuiteDomains)
         const QpProblem qp = generateProblem(c.domain, c.size, 1);
         OsqpSettings settings;
         settings.firstOrder.method = BackendKind::Auto;
-        BackendDriver driver(qp, std::move(settings));
-        EXPECT_EQ(driver.chosenKind(), c.expect)
+        EXPECT_EQ(makeBackend(qp, std::move(settings))->kind(), c.expect)
             << toString(c.domain) << " size " << c.size;
     }
-}
-
-TEST(Selector, DriverFeaturesMatchStandaloneExtraction)
-{
-    const QpProblem qp = generateProblem(Domain::Portfolio, 60, 2);
-    OsqpSettings settings;
-    settings.firstOrder.method = BackendKind::Auto;
-    BackendDriver driver(qp, std::move(settings));
-    const BackendFeatures expect = computeBackendFeatures(qp);
-    EXPECT_EQ(driver.features().n, expect.n);
-    EXPECT_EQ(driver.features().m, expect.m);
-    EXPECT_DOUBLE_EQ(driver.features().equalityFraction,
-                     expect.equalityFraction);
-    EXPECT_DOUBLE_EQ(driver.features().tallRatio, expect.tallRatio);
 }
 
 } // namespace

@@ -6,6 +6,9 @@
  * active-set bookkeeping.
  */
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
@@ -144,6 +147,42 @@ TEST_P(PolishSweep, NeverDegrades)
         << toString(domain);
     EXPECT_LE(r_polished.info.dualRes, r_plain.info.dualRes + 1e-12)
         << toString(domain);
+
+    // Residuals alone can be fooled by a point that solves a wrongly
+    // guessed active set exactly: the result must also be feasible to
+    // the solve's primal tolerance, and an adopted polish must be
+    // optimal against a tight solve (a rejected one hands back the
+    // unpolished point, which is only eps-accurate).
+    const OsqpSettings defaults;
+    const ResidualInfo tol =
+        computeResiduals(qp, r_polished.x, r_polished.y, r_polished.z,
+                         defaults.epsAbs, defaults.epsRel);
+    Vector ax;
+    qp.a.spmv(r_polished.x, ax);
+    for (std::size_t i = 0; i < ax.size(); ++i) {
+        EXPECT_GE(ax[i], qp.l[i] - tol.epsPrim)
+            << toString(domain) << " row " << i;
+        EXPECT_LE(ax[i], qp.u[i] + tol.epsPrim)
+            << toString(domain) << " row " << i;
+    }
+
+    OsqpSettings tight;
+    tight.epsAbs = 1e-7;
+    tight.epsRel = 1e-7;
+    OsqpSolver reference(qp, tight);
+    const OsqpResult r_ref = reference.solve();
+    ASSERT_EQ(r_ref.info.status, SolveStatus::Solved) << toString(domain);
+    if (r_polished.polish.adopted) {
+        EXPECT_LE(
+            std::abs(r_polished.info.objective - r_ref.info.objective),
+            1e-3 * std::max(Real(1.0), std::abs(r_ref.info.objective)))
+            << toString(domain) << ": polished "
+            << r_polished.info.objective << " vs reference "
+            << r_ref.info.objective;
+    } else {
+        EXPECT_EQ(r_polished.info.objective, r_plain.info.objective)
+            << toString(domain);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDomains, PolishSweep,

@@ -5,8 +5,7 @@
  * before Realtime), class-aware retry-after hints, weighted drain
  * order — and the AsyncSubmit suite pins the submitAsync/cancel
  * surface: exactly-once callbacks off the service lock, cancellation
- * windows, bitwise equivalence of the deprecated positional-deadline
- * shims, and a submit/cancel/drain race run under TSan in CI.
+ * windows, and a submit/cancel/drain race run under TSan in CI.
  */
 
 #include <atomic>
@@ -425,42 +424,6 @@ TEST(AsyncSubmit, CancelAfterCompletionReturnsFalse)
     EXPECT_EQ(done.get_future().get().status, SolveStatus::Solved);
     EXPECT_FALSE(service.cancel(token));
     EXPECT_EQ(service.stats().cancelled, 0);
-}
-
-TEST(AsyncSubmit, DeprecatedDeadlineShimsMatchOptionsBitwise)
-{
-    // The positional-deadline shims must be pure forwarders: same
-    // problem, same deadline, bit-for-bit the same solution as the
-    // SubmitOptions path, on a fresh service each so no cached or
-    // warm state can differ.
-    const QpProblem qp = generateProblem(Domain::Portfolio, 30, 23);
-    auto solveWithOptions = [&qp] {
-        SolverService service;
-        SubmitOptions options;
-        options.deadlineSeconds = 30.0;
-        return service.solve(service.openSession(deviceConfig()), qp,
-                             options);
-    };
-    auto solveWithShim = [&qp] {
-        SolverService service;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-        return service.solve(service.openSession(deviceConfig()), qp,
-                             Real(30.0));
-#pragma GCC diagnostic pop
-    };
-
-    const SessionResult viaOptions = solveWithOptions();
-    const SessionResult viaShim = solveWithShim();
-    ASSERT_EQ(viaOptions.status, SolveStatus::Solved);
-    ASSERT_EQ(viaShim.status, SolveStatus::Solved);
-    ASSERT_EQ(viaOptions.x.size(), viaShim.x.size());
-    ASSERT_EQ(viaOptions.y.size(), viaShim.y.size());
-    for (std::size_t i = 0; i < viaOptions.x.size(); ++i)
-        EXPECT_EQ(viaOptions.x[i], viaShim.x[i]);
-    for (std::size_t i = 0; i < viaOptions.y.size(); ++i)
-        EXPECT_EQ(viaOptions.y[i], viaShim.y[i]);
-    EXPECT_EQ(viaOptions.iterations, viaShim.iterations);
 }
 
 TEST(AsyncSubmit, DefaultOptionsMatchLegacyDefaultPathBitwise)
