@@ -26,6 +26,20 @@ class ScalarAlloc
 
 } // namespace
 
+Vector
+rhoClassScales(const QpProblem& scaled, Real rho_eq_scale)
+{
+    Vector scales(scaled.l.size(), 1.0);
+    for (std::size_t i = 0; i < scales.size(); ++i) {
+        const ConstraintClass cls = constraintClass(scaled.l[i], scaled.u[i]);
+        if (cls == ConstraintClass::Loose)
+            scales[i] = 0.0;
+        else if (cls == ConstraintClass::Equality)
+            scales[i] = rho_eq_scale;
+    }
+    return scales;
+}
+
 OsqpDeviceProgram
 buildOsqpProgram(Machine& machine, const OsqpMatrixIds& mats,
                  const QpProblem& scaled, const Scaling& scaling,
@@ -139,17 +153,6 @@ buildOsqpProgram(Machine& machine, const OsqpMatrixIds& mats,
     const Index vZn = machine.addVector(m, "z_next");
 
     // ---- HBM regions (host-prepared data) -------------------------------
-    // Per-constraint rho class multipliers (see OsqpSolver::buildRhoVec):
-    // 0 for loose constraints, rhoEqScale for equalities, 1 otherwise.
-    Vector rho_scale(static_cast<std::size_t>(m), 1.0);
-    for (Index i = 0; i < m; ++i) {
-        const Real lo = scaled.l[static_cast<std::size_t>(i)];
-        const Real hi = scaled.u[static_cast<std::size_t>(i)];
-        if (lo <= -kInf && hi >= kInf)
-            rho_scale[static_cast<std::size_t>(i)] = 0.0;
-        else if (hi - lo < 1e-12)
-            rho_scale[static_cast<std::size_t>(i)] = settings.rhoEqScale;
-    }
     // diag(P_scaled) + sigma.
     Vector diag_p_sigma = scaled.pUpper.diagonalVector();
     for (Real& v : diag_p_sigma)
@@ -165,7 +168,8 @@ buildOsqpProgram(Machine& machine, const OsqpMatrixIds& mats,
     const Index hbmEinv = machine.addHbmVector(scaling.eInv, "einv");
     const Index hbmDiagP = machine.addHbmVector(diag_p_sigma, "diagP");
     handles.hbmDiagP = hbmDiagP;
-    const Index hbmRhoScale = machine.addHbmVector(rho_scale, "rho_scale");
+    const Index hbmRhoScale = machine.addHbmVector(
+        rhoClassScales(scaled, settings.rhoEqScale), "rho_scale");
     handles.hbmRhoScale = hbmRhoScale;
     handles.hbmX0 = machine.addHbmVector(
         Vector(static_cast<std::size_t>(n), 0.0), "x0");

@@ -84,6 +84,13 @@ OsqpDeviceProgram buildOsqpProgram(Machine& machine,
                                    const Scaling& scaling,
                                    const OsqpSettings& settings);
 
+/**
+ * Per-constraint rho class multipliers the program loads into
+ * rho_scale: 0 for loose rows, rhoEqScale for equalities, 1 otherwise
+ * (constraintClass on the scaled bounds, as OsqpSolver's rho vector).
+ */
+Vector rhoClassScales(const QpProblem& scaled, Real rho_eq_scale);
+
 } // namespace rsqp
 
 #endif // RSQP_ARCH_OSQP_PROGRAM_HPP

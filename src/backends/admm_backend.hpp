@@ -36,7 +36,7 @@ class AdmmBackend final : public QpBackend
     Index numVariables() const override;
     Index numConstraints() const override;
 
-    /** The wrapped solver (tests poke at rho, scaled problem...). */
+    /** The wrapped solver (tests poke at its rho vector). */
     OsqpSolver& solver() { return solver_; }
 
   private:

@@ -1,5 +1,7 @@
 #include "backends/backend_selector.hpp"
 
+#include "osqp/scaling.hpp"
+
 namespace rsqp
 {
 
@@ -63,11 +65,11 @@ computeBackendFeatures(const QpProblem& problem)
     Index box = 0;
     for (Index i = 0; i < f.m; ++i) {
         const auto s = static_cast<std::size_t>(i);
-        const Real lo = problem.l[s];
-        const Real hi = problem.u[s];
-        if (lo <= -kInf && hi >= kInf)
+        const ConstraintClass cls =
+            constraintClass(problem.l[s], problem.u[s]);
+        if (cls == ConstraintClass::Loose)
             ++loose;
-        else if (hi - lo < 1e-12)
+        else if (cls == ConstraintClass::Equality)
             ++equalities;
         if (row_nnz[s] == 1)
             ++box;

@@ -11,7 +11,6 @@
 #include "linalg/simd_kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "osqp/residuals.hpp"
-#include "osqp/validate.hpp"
 #include "telemetry/trace.hpp"
 
 namespace rsqp
@@ -76,18 +75,10 @@ seedPowerVector(Vector& v, std::size_t size)
 } // namespace
 
 PdhgSolver::PdhgSolver(QpProblem problem, OsqpSettings settings)
-    : settings_(std::move(settings)), original_(std::move(problem))
+    : settings_(std::move(settings)), qp_(std::move(problem), settings_)
 {
     Timer setup_timer;
-
-    validation_ = validateSettings(settings_);
-    ValidationReport problem_report = validateProblem(original_);
-    validation_.issues.insert(validation_.issues.end(),
-                              problem_report.issues.begin(),
-                              problem_report.issues.end());
-    if (!validation_.ok()) {
-        RSQP_WARN("problem '", original_.name,
-                  "' failed validation:\n", validation_.describe());
+    if (!qp_.ok()) {
         lastInfo_.status = SolveStatus::InvalidProblem;
         lastInfo_.setupTime = setup_timer.seconds();
         return;
@@ -97,11 +88,8 @@ PdhgSolver::PdhgSolver(QpProblem problem, OsqpSettings settings)
         faultInjector_ =
             std::make_unique<FaultInjector>(settings_.faultInjection);
 
-    n_ = original_.numVariables();
-    m_ = original_.numConstraints();
-
-    scaled_ = original_;
-    scaling_ = ruizEquilibrate(scaled_, settings_.scalingIterations);
+    n_ = qp_.original().numVariables();
+    m_ = qp_.original().numConstraints();
 
     rebuildMirrors();
     estimateOperatorNorms();
@@ -116,16 +104,17 @@ PdhgSolver::PdhgSolver(QpProblem problem, OsqpSettings settings)
 void
 PdhgSolver::rebuildMirrors()
 {
-    aCsr_ = CsrMatrix::fromCsc(scaled_.a);
-    atCsr_ = CsrMatrix::fromCsc(scaled_.a.transpose());
-    pCsr_ = CsrMatrix::fromCsc(scaled_.pUpper.symUpperToFull());
+    const QpProblem& scaled = qp_.scaled();
+    aCsr_ = CsrMatrix::fromCsc(scaled.a);
+    atCsr_ = CsrMatrix::fromCsc(scaled.a.transpose());
+    pCsr_ = CsrMatrix::fromCsc(scaled.pUpper.symUpperToFull());
 }
 
 void
 PdhgSolver::estimateOperatorNorms()
 {
     // ||A||_2 via power iteration on A'A.
-    if (m_ > 0 && scaled_.a.nnz() > 0) {
+    if (m_ > 0 && qp_.scaled().a.nnz() > 0) {
         Vector v, av, atav;
         seedPowerVector(v, static_cast<std::size_t>(n_));
         Real lam = 0.0;
@@ -179,11 +168,12 @@ PdhgSolver::initialPrimalWeight() const
 {
     // PDLP-style data-driven default: balance the primal gradient
     // magnitude against the bound magnitude (infinite bounds excluded).
-    const Real nq = norm2(scaled_.q);
+    const QpProblem& scaled = qp_.scaled();
+    const Real nq = norm2(scaled.q);
     Real nb = 0.0;
     for (Index i = 0; i < m_; ++i) {
-        const Real lo = scaled_.l[static_cast<std::size_t>(i)];
-        const Real hi = scaled_.u[static_cast<std::size_t>(i)];
+        const Real lo = scaled.l[static_cast<std::size_t>(i)];
+        const Real hi = scaled.u[static_cast<std::size_t>(i)];
         if (lo > -kInf)
             nb += lo * lo;
         if (hi < kInf)
@@ -198,157 +188,32 @@ PdhgSolver::initialPrimalWeight() const
 bool
 PdhgSolver::warmStart(const Vector& x, const Vector& y)
 {
-    if (!validation_.ok())
-        return false;
-    if (static_cast<Index>(x.size()) != n_ ||
-        static_cast<Index>(y.size()) != m_) {
-        RSQP_WARN("warmStart ignored: got sizes (", x.size(), ", ",
-                  y.size(), "), expected (", n_, ", ", m_, ")");
-        return false;
-    }
-    for (Index j = 0; j < n_; ++j)
-        x_[static_cast<std::size_t>(j)] =
-            scaling_.dInv[static_cast<std::size_t>(j)] *
-            x[static_cast<std::size_t>(j)];
-    for (Index i = 0; i < m_; ++i)
-        y_[static_cast<std::size_t>(i)] = scaling_.c *
-            scaling_.eInv[static_cast<std::size_t>(i)] *
-            y[static_cast<std::size_t>(i)];
-    return true;
+    return qp_.scaleWarmStart(x, y, x_, y_);
 }
 
 void
 PdhgSolver::updateLinearCost(const Vector& q)
 {
-    if (!validation_.ok())
-        return;
-    RSQP_ASSERT(static_cast<Index>(q.size()) == n_, "q size mismatch");
-    original_.q = q;
-    for (Index j = 0; j < n_; ++j)
-        scaled_.q[static_cast<std::size_t>(j)] = scaling_.c *
-            scaling_.d[static_cast<std::size_t>(j)] *
-            q[static_cast<std::size_t>(j)];
+    qp_.setLinearCost(q);
 }
 
 void
 PdhgSolver::updateBounds(const Vector& l, const Vector& u)
 {
-    if (!validation_.ok())
-        return;
-    RSQP_ASSERT(static_cast<Index>(l.size()) == m_ &&
-                    static_cast<Index>(u.size()) == m_,
-                "bound size mismatch");
-    for (Index i = 0; i < m_; ++i)
-        if (l[static_cast<std::size_t>(i)] >
-            u[static_cast<std::size_t>(i)])
-            RSQP_FATAL("updateBounds: l > u at constraint ", i);
-    original_.l = l;
-    original_.u = u;
-    for (Index i = 0; i < m_; ++i) {
-        const Real e_i = scaling_.e[static_cast<std::size_t>(i)];
-        const Real lo = l[static_cast<std::size_t>(i)];
-        const Real hi = u[static_cast<std::size_t>(i)];
-        scaled_.l[static_cast<std::size_t>(i)] =
-            (lo <= -kInf) ? lo : e_i * lo;
-        scaled_.u[static_cast<std::size_t>(i)] =
-            (hi >= kInf) ? hi : e_i * hi;
-    }
+    // No constraint-class state here: the projection reads the bounds.
+    qp_.setBounds(l, u);
 }
 
 void
 PdhgSolver::updateMatrixValues(const std::vector<Real>& p_values,
                                const std::vector<Real>& a_values)
 {
-    if (!validation_.ok())
+    if (!qp_.setMatrixValues(p_values, a_values))
         return;
-    if (!p_values.empty()) {
-        RSQP_ASSERT(p_values.size() == original_.pUpper.values().size(),
-                    "P value count mismatch");
-        original_.pUpper.values() = p_values;
-        auto& scaled_vals = scaled_.pUpper.values();
-        const auto& col_ptr = scaled_.pUpper.colPtr();
-        const auto& row_idx = scaled_.pUpper.rowIdx();
-        for (Index c = 0; c < n_; ++c)
-            for (Index p = col_ptr[c]; p < col_ptr[c + 1]; ++p)
-                scaled_vals[static_cast<std::size_t>(p)] = scaling_.c *
-                    scaling_.d[static_cast<std::size_t>(row_idx[p])] *
-                    scaling_.d[static_cast<std::size_t>(c)] *
-                    p_values[static_cast<std::size_t>(p)];
-    }
-    if (!a_values.empty()) {
-        RSQP_ASSERT(a_values.size() == original_.a.values().size(),
-                    "A value count mismatch");
-        original_.a.values() = a_values;
-        auto& scaled_vals = scaled_.a.values();
-        const auto& col_ptr = scaled_.a.colPtr();
-        const auto& row_idx = scaled_.a.rowIdx();
-        for (Index c = 0; c < n_; ++c)
-            for (Index p = col_ptr[c]; p < col_ptr[c + 1]; ++p)
-                scaled_vals[static_cast<std::size_t>(p)] =
-                    scaling_.e[static_cast<std::size_t>(row_idx[p])] *
-                    scaling_.d[static_cast<std::size_t>(c)] *
-                    a_values[static_cast<std::size_t>(p)];
-    }
-    if (!p_values.empty() || !a_values.empty()) {
-        // New operator values change the valid step sizes too.
-        rebuildMirrors();
-        estimateOperatorNorms();
-        applyStepSizes();
-    }
-}
-
-bool
-PdhgSolver::checkPrimalInfeasibility(const Vector& delta_y) const
-{
-    const Real norm_dy = normInf(delta_y);
-    if (norm_dy <= settings_.epsPrimInf)
-        return false;
-    Vector at_dy;
-    original_.a.spmvTranspose(delta_y, at_dy);
-    if (normInf(at_dy) > settings_.epsPrimInf * norm_dy)
-        return false;
-    Real support = 0.0;
-    for (Index i = 0; i < m_; ++i) {
-        const Real dy_i = delta_y[static_cast<std::size_t>(i)];
-        if (dy_i > 0.0) {
-            const Real u_i = original_.u[static_cast<std::size_t>(i)];
-            if (u_i >= kInf)
-                return false;
-            support += u_i * dy_i;
-        } else if (dy_i < 0.0) {
-            const Real l_i = original_.l[static_cast<std::size_t>(i)];
-            if (l_i <= -kInf)
-                return false;
-            support += l_i * dy_i;
-        }
-    }
-    return support <= -settings_.epsPrimInf * norm_dy;
-}
-
-bool
-PdhgSolver::checkDualInfeasibility(const Vector& delta_x) const
-{
-    const Real norm_dx = normInf(delta_x);
-    if (norm_dx <= settings_.epsDualInf)
-        return false;
-    if (dot(original_.q, delta_x) > -settings_.epsDualInf * norm_dx)
-        return false;
-    Vector p_dx;
-    original_.pUpper.spmvSymUpper(delta_x, p_dx);
-    if (normInf(p_dx) > settings_.epsDualInf * norm_dx)
-        return false;
-    Vector a_dx;
-    original_.a.spmv(delta_x, a_dx);
-    const Real tol = settings_.epsDualInf * norm_dx;
-    for (Index i = 0; i < m_; ++i) {
-        const Real v = a_dx[static_cast<std::size_t>(i)];
-        if (original_.u[static_cast<std::size_t>(i)] < kInf && v > tol)
-            return false;
-        if (original_.l[static_cast<std::size_t>(i)] > -kInf &&
-            v < -tol)
-            return false;
-    }
-    return true;
+    // New operator values change the valid step sizes too.
+    rebuildMirrors();
+    estimateOperatorNorms();
+    applyStepSizes();
 }
 
 OsqpResult
@@ -368,8 +233,8 @@ PdhgSolver::solve()
     info.recovery = RecoveryReport{};
     info.telemetry = SolveTelemetry{};
 
-    if (!validation_.ok()) {
-        result.validation = validation_;
+    if (!qp_.ok()) {
+        result.validation = qp_.validation();
         info.status = SolveStatus::InvalidProblem;
         info.solveTime = solve_timer.seconds();
         lastInfo_ = info;
@@ -406,6 +271,8 @@ PdhgSolver::solve()
     Vector ax_u(static_cast<std::size_t>(m_));
     Vector delta_x(static_cast<std::size_t>(n_));
     Vector delta_y(static_cast<std::size_t>(m_));
+    const QpProblem& original = qp_.original();
+    const QpProblem& scaled = qp_.scaled();
 
     // Epoch state: running average since the last restart, the
     // restart anchor, and the merit recorded at the restart point.
@@ -424,14 +291,8 @@ PdhgSolver::solve()
     bool have_prev_check = false;
 
     const auto unscale_iterates = [&]() {
-        for (Index j = 0; j < n_; ++j)
-            x_u[static_cast<std::size_t>(j)] =
-                scaling_.d[static_cast<std::size_t>(j)] *
-                x_[static_cast<std::size_t>(j)];
-        for (Index i = 0; i < m_; ++i) {
-            const auto s = static_cast<std::size_t>(i);
-            y_u[s] = scaling_.cInv * scaling_.e[s] * y_[s];
-        }
+        qp_.unscaleX(x_, x_u);
+        qp_.unscaleY(y_, y_u);
     };
 
     const auto reset_epoch = [&]() {
@@ -507,7 +368,7 @@ PdhgSolver::solve()
         for (Index j = 0; j < n_; ++j) {
             const auto s = static_cast<std::size_t>(j);
             x_next[s] =
-                x_[s] - tau * (px[s] + scaled_.q[s] + aty[s]);
+                x_[s] - tau * (px[s] + scaled.q[s] + aty[s]);
             x_bar[s] = 2.0 * x_next[s] - x_[s];
         }
 
@@ -519,7 +380,7 @@ PdhgSolver::solve()
             const auto s = static_cast<std::size_t>(i);
             const Real w = y_[s] * sigma_inv + ax[s];
             const Real proj =
-                clampReal(w, scaled_.l[s], scaled_.u[s]);
+                clampReal(w, scaled.l[s], scaled.u[s]);
             y_[s] = sigma * (w - proj);
         }
         ++epoch_len;
@@ -552,10 +413,10 @@ PdhgSolver::solve()
         // Unscaled residuals at the current iterate, with
         // z = Pi_[l,u](A x) as the auxiliary variable.
         unscale_iterates();
-        original_.a.spmv(x_u, ax_u);
-        ewClamp(ax_u, original_.l, original_.u, z_u);
+        original.a.spmv(x_u, ax_u);
+        ewClamp(ax_u, original.l, original.u, z_u);
         const ResidualInfo res =
-            computeResiduals(original_, x_u, y_u, z_u, settings_.epsAbs,
+            computeResiduals(original, x_u, y_u, z_u, settings_.epsAbs,
                              settings_.epsRel);
         info.primRes = res.primRes;
         info.dualRes = res.dualRes;
@@ -603,11 +464,13 @@ PdhgSolver::solve()
                 const auto s = static_cast<std::size_t>(i);
                 delta_y[s] = y_u[s] - y_u_prev[s];
             }
-            if (checkPrimalInfeasibility(delta_y)) {
+            if (certifiesPrimalInfeasibility(original, delta_y,
+                                             settings_.epsPrimInf)) {
                 info.status = SolveStatus::PrimalInfeasible;
                 break;
             }
-            if (checkDualInfeasibility(delta_x)) {
+            if (certifiesDualInfeasibility(original, delta_x,
+                                           settings_.epsDualInf)) {
                 info.status = SolveStatus::DualInfeasible;
                 break;
             }
@@ -670,10 +533,10 @@ PdhgSolver::solve()
     unscale_iterates();
     result.x = x_u;
     result.y = y_u;
-    original_.a.spmv(x_u, ax_u);
-    ewClamp(ax_u, original_.l, original_.u, z_u);
+    original.a.spmv(x_u, ax_u);
+    ewClamp(ax_u, original.l, original.u, z_u);
     result.z = z_u;
-    info.objective = original_.objective(result.x);
+    info.objective = original.objective(result.x);
 
     info.solveTime = solve_timer.seconds();
     info.kktSolveTime = 0.0;  // matrix-free: there is no KKT backend

@@ -29,6 +29,13 @@
  * every ISA level. The divergence watchdog, iterate
  * checkpoint and seeded fault injection hook in exactly like the ADMM
  * loop, and solve() returns the standard OsqpResult contract.
+ *
+ * Setup validation, Ruiz scaling, the parametric setters and the
+ * scaled <-> unscaled maps are the engine's ScaledQp
+ * (osqp/scaling.hpp), and the infeasibility certificates are the free
+ * functions of osqp/residuals.hpp, as for the ADMM loop. The engine's
+ * own reaction to a matrix update is rebuilding its CSR mirrors,
+ * operator-norm bounds and step sizes.
  */
 
 #ifndef RSQP_BACKENDS_PDHG_SOLVER_HPP
@@ -69,7 +76,7 @@ class PdhgSolver final : public QpBackend
     }
     const ValidationReport& validation() const override
     {
-        return validation_;
+        return qp_.validation();
     }
     BackendKind kind() const override { return BackendKind::Pdhg; }
     Index numVariables() const override { return n_; }
@@ -99,14 +106,8 @@ class PdhgSolver final : public QpBackend
     /** Rebuild the CSR execution mirrors from the scaled CSC data. */
     void rebuildMirrors();
 
-    bool checkPrimalInfeasibility(const Vector& delta_y) const;
-    bool checkDualInfeasibility(const Vector& delta_x) const;
-
     OsqpSettings settings_;
-    QpProblem original_;  ///< unscaled copy (residuals, objective)
-    QpProblem scaled_;    ///< Ruiz-scaled problem the iteration uses
-    Scaling scaling_;
-    ValidationReport validation_;
+    ScaledQp qp_;  ///< original + scaled data, setup diagnostics
     Index n_ = 0;
     Index m_ = 0;
 

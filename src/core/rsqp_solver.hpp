@@ -11,6 +11,14 @@
  * and converts the cycle count into wall-clock time through the fmax
  * model. Parametric re-solves (new q / bounds / warm starts) reuse the
  * generated architecture — the amortization story of the paper.
+ *
+ * As in the paper, OSQP's host layer stays on the host: setup
+ * validation (settings and problem), Ruiz scaling, the parametric
+ * setters and the scaled <-> unscaled maps are the solver's ScaledQp
+ * (osqp/scaling.hpp), shared with the host engines. The device's own
+ * reaction to an update is repacking matrices and rewriting HBM
+ * regions (the rho class multipliers only when a bound update changes
+ * a constraint class).
  */
 
 #ifndef RSQP_CORE_RSQP_SOLVER_HPP
@@ -65,8 +73,9 @@ class RsqpSolver
      * Set up the accelerated solver.
      *
      * @param problem The QP (unscaled).
-     * @param settings OSQP settings (maxIter is rounded up to a
-     *        multiple of checkInterval for the device loop).
+     * @param settings OSQP settings, validated like the host engines'
+     *        (maxIter is rounded up to a multiple of checkInterval for
+     *        the device loop).
      * @param custom Customization pipeline settings (width, E_p/E_c
      *        optimizations on/off).
      */
@@ -116,11 +125,14 @@ class RsqpSolver
                             const std::vector<Real>& a_values);
 
     /**
-     * Problem diagnostics from setup. When not ok() the solver is
-     * inert: solve() returns InvalidProblem, mutators are no-ops, and
-     * machine()/program() must not be called.
+     * Settings and problem diagnostics from setup. When not ok() the
+     * solver is inert: solve() returns InvalidProblem, mutators are
+     * no-ops, and machine()/program() must not be called.
      */
-    const ValidationReport& validation() const { return validation_; }
+    const ValidationReport& validation() const
+    {
+        return qp_.validation();
+    }
 
     const ProblemCustomization& customization() const { return custom_; }
     const ArchConfig& config() const { return custom_.config; }
@@ -128,10 +140,7 @@ class RsqpSolver
     const Program& program() const { return prog_.program; }
 
   private:
-    QpProblem original_;
-    QpProblem scaled_;
-    Scaling scaling_;
-    ValidationReport validation_;  ///< setup diagnostics
+    ScaledQp qp_;  ///< original + scaled data, setup diagnostics
     OsqpSettings settings_;
     ProblemCustomization custom_;
     bool customizationReused_ = false;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared (unscaled) OSQP residual and tolerance computations, used by
- * the ADMM loop, the polisher and the tests.
+ * Shared (unscaled) OSQP residual and tolerance computations and the
+ * two infeasibility certificates, used by the ADMM loop, the PDHG
+ * engine, the polisher and the tests.
  */
 
 #ifndef RSQP_OSQP_RESIDUALS_HPP
@@ -32,6 +33,23 @@ struct ResidualInfo
 ResidualInfo computeResiduals(const QpProblem& problem, const Vector& x,
                               const Vector& y, const Vector& z,
                               Real eps_abs, Real eps_rel);
+
+/**
+ * OSQP's primal infeasibility certificate on an unscaled dual iterate
+ * delta: ||A' dy|| <= eps ||dy|| and u'(dy)+ + l'(dy)- <= -eps ||dy||
+ * (infinity norms; a nonzero dy_i facing an infinite bound fails).
+ */
+bool certifiesPrimalInfeasibility(const QpProblem& problem,
+                                  const Vector& delta_y,
+                                  Real eps_prim_inf);
+
+/**
+ * OSQP's dual infeasibility certificate on an unscaled primal iterate
+ * delta: q'dx <= -eps ||dx||, ||P dx|| <= eps ||dx|| and A dx within
+ * eps ||dx|| of the recession cone of [l, u] (infinity norms).
+ */
+bool certifiesDualInfeasibility(const QpProblem& problem,
+                                const Vector& delta_x, Real eps_dual_inf);
 
 } // namespace rsqp
 

@@ -2,14 +2,19 @@
  * @file
  * From-scratch implementation of the OSQP ADMM solver (Algorithm 1).
  *
- * The solver owns the scaled problem data, per-constraint rho vector,
- * a pluggable KKT backend (direct LDL' or indirect PCG), adaptive rho,
- * Ruiz scaling and the full OSQP termination logic including
- * primal/dual infeasibility certificates.
+ * Setup validation, Ruiz scaling, the parametric setters and the
+ * scaled <-> unscaled maps live in the solver's ScaledQp
+ * (osqp/scaling.hpp); the infeasibility certificates are the free
+ * functions of osqp/residuals.hpp. The solver itself owns the
+ * per-constraint rho vector, a pluggable KKT backend (direct LDL' or
+ * indirect PCG), adaptive rho and the ADMM loop with OSQP's
+ * termination logic.
  *
  * The parametric-update entry points (updateLinearCost, updateBounds,
  * updateMatrixValues) keep the sparsity structure fixed — the reuse
- * model that amortizes RSQP's per-structure hardware generation.
+ * model that amortizes RSQP's per-structure hardware generation. Its
+ * own reaction to an update is the rho vector (when a bound update
+ * changes a constraint class) and the KKT refresh or rebuild.
  */
 
 #ifndef RSQP_OSQP_SOLVER_HPP
@@ -62,7 +67,11 @@ class OsqpSolver
     /** Replace q (same length); rescales internally. */
     void updateLinearCost(const Vector& q);
 
-    /** Replace l and u (same length); rescales internally. */
+    /**
+     * Replace l and u (same length); rescales internally. When a row
+     * changes constraint class the rho vector and the KKT backend are
+     * refreshed, as osqp_update_bounds does.
+     */
     void updateBounds(const Vector& l, const Vector& u);
 
     /**
@@ -93,10 +102,10 @@ class OsqpSolver
     const OsqpSettings& settings() const { return settings_; }
 
     /** Problem diagnostics from setup (ok() unless InvalidProblem). */
-    const ValidationReport& validation() const { return validation_; }
-
-    /** The scaled problem currently inside the solver (for the arch). */
-    const QpProblem& scaledProblem() const { return scaled_; }
+    const ValidationReport& validation() const
+    {
+        return qp_.validation();
+    }
 
     /** Per-constraint rho vector currently in use (scaled space). */
     const Vector& rhoVec() const { return rhoVec_; }
@@ -108,24 +117,12 @@ class OsqpSolver
     void buildRhoVec(Real rho_bar);
     void rebuildKktSolver();
 
-
-    /** Unscaled residuals + tolerances; fills the four outputs. */
-    void computeResiduals(const Vector& x, const Vector& y,
-                          const Vector& z, Real& prim_res, Real& dual_res,
-                          Real& eps_prim, Real& eps_dual) const;
-
-    bool checkPrimalInfeasibility(const Vector& delta_y) const;
-    bool checkDualInfeasibility(const Vector& delta_x) const;
-
     /** rho adaptation; returns true if rho changed. */
     bool adaptRho(Real prim_res, Real dual_res, const Vector& x,
                   const Vector& y, const Vector& z);
 
     OsqpSettings settings_;
-    QpProblem original_;  ///< unscaled copy (residuals, objective)
-    QpProblem scaled_;    ///< scaled in-place problem the iteration uses
-    Scaling scaling_;
-    ValidationReport validation_;  ///< setup diagnostics
+    ScaledQp qp_;  ///< original + scaled data, setup diagnostics
     Index n_ = 0;
     Index m_ = 0;
 

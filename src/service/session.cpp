@@ -83,32 +83,19 @@ SolverSession::rebuild(const QpProblem& problem, bool cacheable,
 void
 SolverSession::applyParametricUpdates(const QpProblem& problem)
 {
-    const bool qChanged = problem.q != current_.q;
-    const bool boundsChanged =
-        problem.l != current_.l || problem.u != current_.u;
     const bool pChanged =
         problem.pUpper.values() != current_.pUpper.values();
     const bool aChanged = problem.a.values() != current_.a.values();
-
-    if (config_.engine == SessionEngine::Device) {
-        if (qChanged)
-            device_->updateLinearCost(problem.q);
-        if (boundsChanged)
-            device_->updateBounds(problem.l, problem.u);
+    withEngine([&](auto& engine) {
+        if (problem.q != current_.q)
+            engine.updateLinearCost(problem.q);
+        if (problem.l != current_.l || problem.u != current_.u)
+            engine.updateBounds(problem.l, problem.u);
         if (pChanged || aChanged)
-            device_->updateMatrixValues(
+            engine.updateMatrixValues(
                 pChanged ? problem.pUpper.values() : Vector(),
                 aChanged ? problem.a.values() : Vector());
-    } else {
-        if (qChanged)
-            host_->updateLinearCost(problem.q);
-        if (boundsChanged)
-            host_->updateBounds(problem.l, problem.u);
-        if (pChanged || aChanged)
-            host_->updateMatrixValues(
-                pChanged ? problem.pUpper.values() : Vector(),
-                aChanged ? problem.a.values() : Vector());
-    }
+    });
 }
 
 SessionResult
@@ -157,11 +144,9 @@ SolverSession::solve(const QpProblem& problem, Real time_budget,
     if (wantWarm && haveWarm_ &&
         lastX_.size() == static_cast<std::size_t>(n) &&
         lastY_.size() == static_cast<std::size_t>(m)) {
-        const bool applied =
-            config_.engine == SessionEngine::Device
-                ? device_->warmStart(lastX_, lastY_)
-                : host_->warmStart(lastX_, lastY_);
-        if (applied) {
+        if (withEngine([&](auto& engine) {
+                return engine.warmStart(lastX_, lastY_);
+            })) {
             result.warmStarted = true;
             ++stats_.warmStarts;
         }
@@ -180,6 +165,7 @@ SolverSession::solve(const QpProblem& problem, Real time_budget,
         result.dualRes = run.dualRes;
         result.deviceSeconds = run.deviceSeconds;
         result.telemetry = run.telemetry;
+        result.validation = std::move(run.validation);
     } else {
         // The host engine enforces the deadline in-loop; each request
         // re-arms the limit so budgets never leak across requests.
@@ -196,6 +182,7 @@ SolverSession::solve(const QpProblem& problem, Real time_budget,
         result.dualRes = run.info.dualRes;
         result.hotPath = run.info.hotPath;
         result.telemetry = run.info.telemetry;
+        result.validation = std::move(run.validation);
     }
     result.solveSeconds = secondsSince(solveStart);
     stats_.solveSecondsTotal += result.solveSeconds;

@@ -76,7 +76,8 @@ struct SessionResult
     double solveSeconds = 0.0;  ///< wall clock of the solve itself
     Real deviceSeconds = 0.0;   ///< Device engine: simulated wall clock
     HotPathProfile hotPath;     ///< Host/PCG per-phase counters
-    ValidationReport validation;  ///< filled when InvalidProblem
+    ValidationReport validation;  ///< request or engine setup diagnostics
+                                  ///< when InvalidProblem
 
     /** Times this job was re-placed off a failed core before running
      *  (fleet failover; the solve itself is bitwise-unaffected). */
@@ -169,6 +170,18 @@ class SolverSession
 
     /** Path 1: diff against the live problem and push updates. */
     void applyParametricUpdates(const QpProblem& problem);
+
+    /**
+     * Call f on the live engine. RsqpSolver and QpBackend share the
+     * parametric API (warmStart, update*), so one generic body serves
+     * both engines.
+     */
+    template <class F>
+    decltype(auto)
+    withEngine(F&& f)
+    {
+        return device_ != nullptr ? f(*device_) : f(*host_);
+    }
 
     SessionConfig config_;
     std::shared_ptr<CustomizationCache> cache_;

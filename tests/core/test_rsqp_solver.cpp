@@ -269,6 +269,33 @@ TEST(RsqpSolver, WarmStartSizeMismatchIsNonFatal)
     EXPECT_EQ(result.status, SolveStatus::Solved);
 }
 
+TEST(RsqpSolver, InvalidSettingsLeaveSolverInert)
+{
+    // The device validates settings like the host engines: a zero
+    // checkInterval must not reach the maxIter alignment (division by
+    // zero) and alpha outside (0, 2) must not start a run.
+    const QpProblem qp = generateProblem(Domain::Control, 4, 1);
+    CustomizeSettings custom;
+    custom.c = 16;
+    OsqpSettings zero_interval = settingsFor();
+    zero_interval.checkInterval = 0;
+    OsqpSettings wide_alpha = settingsFor();
+    wide_alpha.alpha = 2.5;
+    for (const OsqpSettings& settings : {zero_interval, wide_alpha}) {
+        RsqpSolver solver(qp, settings, custom);
+        EXPECT_TRUE(
+            solver.validation().has(ValidationCode::InvalidSetting));
+        solver.updateLinearCost(qp.q);  // no-op on an inert solver
+        EXPECT_FALSE(solver.warmStart(
+            Vector(static_cast<std::size_t>(qp.numVariables()), 0.0),
+            Vector(static_cast<std::size_t>(qp.numConstraints()), 0.0)));
+        const RsqpResult result = solver.solve();
+        EXPECT_EQ(result.status, SolveStatus::InvalidProblem);
+        EXPECT_TRUE(result.validation.has(ValidationCode::InvalidSetting));
+        EXPECT_EQ(result.iterations, 0);
+    }
+}
+
 TEST(RsqpSolverFaults, DisabledInjectionMatchesBaselineBitwise)
 {
     const QpProblem qp = generateProblem(Domain::Portfolio, 35, 61);

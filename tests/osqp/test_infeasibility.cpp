@@ -2,12 +2,15 @@
  * @file
  * Infeasibility-certificate tests: OSQP must detect primal infeasible
  * (contradictory constraints) and dual infeasible (unbounded below)
- * problems instead of iterating forever.
+ * problems instead of iterating forever. Each problem also feeds the
+ * free certificate functions every engine calls, with a hand-made ray
+ * that must certify and one that must not.
  */
 
 #include <gtest/gtest.h>
 
 #include "linalg/vector_ops.hpp"
+#include "osqp/residuals.hpp"
 #include "osqp/solver.hpp"
 #include "tests/test_util.hpp"
 
@@ -42,6 +45,12 @@ TEST(Infeasibility, PrimalInfeasibleContradiction)
     OsqpSolver solver(problem, settingsFor());
     const OsqpResult result = solver.solve();
     EXPECT_EQ(result.info.status, SolveStatus::PrimalInfeasible);
+
+    const Real eps = settingsFor().epsPrimInf;
+    EXPECT_TRUE(certifiesPrimalInfeasibility(problem, {-1.0, 1.0}, eps));
+    EXPECT_FALSE(certifiesPrimalInfeasibility(problem, {1.0, 1.0}, eps));
+    // A ray that leans on an infinite bound certifies nothing.
+    EXPECT_FALSE(certifiesPrimalInfeasibility(problem, {1.0, -1.0}, eps));
 }
 
 TEST(Infeasibility, PrimalInfeasibleEqualitySystem)
@@ -65,6 +74,10 @@ TEST(Infeasibility, PrimalInfeasibleEqualitySystem)
     OsqpSolver solver(problem, settingsFor());
     const OsqpResult result = solver.solve();
     EXPECT_EQ(result.info.status, SolveStatus::PrimalInfeasible);
+
+    const Real eps = settingsFor().epsPrimInf;
+    EXPECT_TRUE(certifiesPrimalInfeasibility(problem, {1.0, -1.0}, eps));
+    EXPECT_FALSE(certifiesPrimalInfeasibility(problem, {-1.0, 1.0}, eps));
 }
 
 TEST(Infeasibility, DualInfeasibleUnboundedLinear)
@@ -82,6 +95,10 @@ TEST(Infeasibility, DualInfeasibleUnboundedLinear)
     OsqpSolver solver(problem, settingsFor());
     const OsqpResult result = solver.solve();
     EXPECT_EQ(result.info.status, SolveStatus::DualInfeasible);
+
+    const Real eps = settingsFor().epsDualInf;
+    EXPECT_TRUE(certifiesDualInfeasibility(problem, {1.0}, eps));
+    EXPECT_FALSE(certifiesDualInfeasibility(problem, {-1.0}, eps));
 }
 
 TEST(Infeasibility, DualInfeasibleFreeDirection)
@@ -101,6 +118,11 @@ TEST(Infeasibility, DualInfeasibleFreeDirection)
     OsqpSolver solver(problem, settingsFor());
     const OsqpResult result = solver.solve();
     EXPECT_EQ(result.info.status, SolveStatus::DualInfeasible);
+
+    const Real eps = settingsFor().epsDualInf;
+    EXPECT_TRUE(certifiesDualInfeasibility(problem, {0.0, 1.0}, eps));
+    // x0 leaves the box and curves the objective: not a ray.
+    EXPECT_FALSE(certifiesDualInfeasibility(problem, {1.0, 1.0}, eps));
 }
 
 TEST(Infeasibility, FeasibleProblemNotFlagged)
@@ -120,6 +142,12 @@ TEST(Infeasibility, FeasibleProblemNotFlagged)
     OsqpSolver solver(problem, settingsFor());
     const OsqpResult result = solver.solve();
     EXPECT_EQ(result.info.status, SolveStatus::Solved);
+
+    const Vector ray = constantVector(6, 1.0);
+    EXPECT_FALSE(certifiesPrimalInfeasibility(problem, ray,
+                                              settingsFor().epsPrimInf));
+    EXPECT_FALSE(certifiesDualInfeasibility(problem, ray,
+                                            settingsFor().epsDualInf));
 }
 
 } // namespace

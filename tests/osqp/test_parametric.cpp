@@ -10,6 +10,7 @@
 #include "common/logging.hpp"
 #include "osqp/solver.hpp"
 #include "problems/generators.hpp"
+#include "problems/suite.hpp"
 #include "tests/test_util.hpp"
 
 namespace rsqp
@@ -74,6 +75,41 @@ TEST(Parametric, UpdateBoundsMatchesFreshSolve)
     OsqpSolver fresh(fresh_problem, tightSettings());
     const OsqpResult reference = fresh.solve();
     ASSERT_EQ(updated.info.status, SolveStatus::Solved);
+    EXPECT_NEAR(updated.info.objective, reference.info.objective,
+                1e-3 * (1.0 + std::abs(reference.info.objective)));
+}
+
+TEST(Parametric, UpdateBoundsRefreshesRhoClasses)
+{
+    // A bound update that turns rows into equalities (and one into a
+    // loose row) must leave the rho vector a fresh setup would build,
+    // as osqp_update_bounds does through update_rho_vec.
+    const QpProblem problem = generateProblem(Domain::Svm, 20, 2);
+    const OsqpSettings settings;
+    OsqpSolver solver(problem, settings);
+
+    // svm rows: the first half are hinge rows a'x + t_i >= 1, the
+    // second half t_i >= 0. Pin every third hinge row to equality (t_i
+    // keeps it feasible) and free one t_i row.
+    Vector l2 = problem.l;
+    Vector u2 = problem.u;
+    const std::size_t hinge_rows = l2.size() / 2;
+    for (std::size_t i = 0; i < hinge_rows; i += 3)
+        u2[i] = l2[i];
+    l2[hinge_rows + 1] = -kInf;
+    u2[hinge_rows + 1] = kInf;
+    solver.updateBounds(l2, u2);
+
+    QpProblem moved = problem;
+    moved.l = l2;
+    moved.u = u2;
+    OsqpSolver fresh(moved, settings);
+    EXPECT_EQ(solver.rhoVec(), fresh.rhoVec());
+
+    const OsqpResult updated = solver.solve();
+    const OsqpResult reference = fresh.solve();
+    ASSERT_EQ(updated.info.status, SolveStatus::Solved);
+    ASSERT_EQ(reference.info.status, SolveStatus::Solved);
     EXPECT_NEAR(updated.info.objective, reference.info.objective,
                 1e-3 * (1.0 + std::abs(reference.info.objective)));
 }

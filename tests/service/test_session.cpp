@@ -174,6 +174,30 @@ TEST(SolverSession, InvalidProblemLeavesSessionStateUntouched)
     EXPECT_TRUE(good.warmStarted);
 }
 
+TEST(SolverSession, DeviceInvalidSettingsReturnEngineReport)
+{
+    // A client's bad settings reach the device engine: the session must
+    // answer with a typed InvalidProblem and the engine's diagnostics,
+    // on the first (rebuild) and the next (parametric) request alike.
+    const QpProblem qp = generateProblem(Domain::Control, 4, 1);
+    SessionConfig zero_interval = deviceConfig();
+    zero_interval.osqp.checkInterval = 0;
+    SessionConfig wide_alpha = deviceConfig();
+    wide_alpha.osqp.alpha = 2.5;
+    for (const SessionConfig& config : {zero_interval, wide_alpha}) {
+        SolverSession session(config);
+        const SessionResult first = session.solve(qp);
+        EXPECT_EQ(first.status, SolveStatus::InvalidProblem);
+        EXPECT_TRUE(
+            first.validation.has(ValidationCode::InvalidSetting));
+        const SessionResult second = session.solve(withScaledCost(qp, 0.9));
+        EXPECT_TRUE(second.parametricReuse);
+        EXPECT_EQ(second.status, SolveStatus::InvalidProblem);
+        EXPECT_TRUE(
+            second.validation.has(ValidationCode::InvalidSetting));
+    }
+}
+
 TEST(SolverSession, HostEngineSolvesAndProfilesHotPath)
 {
     SessionConfig config;
