@@ -161,7 +161,6 @@ main(int argc, char** argv)
             serviceConfig.maxQueueDepth =
                 static_cast<std::size_t>(requestCount) + 8;
             serviceConfig.fleet.coreCount = options.cores;
-            serviceConfig.fleet.policy = PlacementPolicy::Affinity;
             serviceConfig.fleet.slotsPerCore = 1;
             serviceConfig.fleet.affinityQueueBound = 2;
             // Modeled device times are milliseconds; a millisecond-

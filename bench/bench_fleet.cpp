@@ -205,7 +205,6 @@ main(int argc, char** argv)
         serviceConfig.maxQueueDepth =
             static_cast<std::size_t>(requestCount) + 8;
         serviceConfig.fleet.coreCount = coreCount;
-        serviceConfig.fleet.policy = PlacementPolicy::Affinity;
         serviceConfig.fleet.slotsPerCore = 1;  // one device per core
         serviceConfig.fleet.affinityQueueBound = 2;
         SolverService service(serviceConfig);

@@ -303,7 +303,6 @@ main(int argc, char** argv)
     ServiceConfig serviceConfig;
     serviceConfig.maxQueueDepth = 64;
     serviceConfig.fleet.coreCount = options.cores;
-    serviceConfig.fleet.policy = PlacementPolicy::Affinity;
     serviceConfig.fleet.slotsPerCore = 1;
     serviceConfig.fleet.affinityQueueBound = 2;
     // Narrow streams: a launched stream runs to completion, so its

@@ -422,15 +422,6 @@ PdhgSolver::solve()
         info.dualRes = res.dualRes;
         info.telemetry.pushResidual(iter, res.primRes, res.dualRes);
 
-        if (settings_.recordTrace) {
-            IterationRecord rec;
-            rec.iteration = iter;
-            rec.primRes = res.primRes;
-            rec.dualRes = res.dualRes;
-            rec.rho = omega_;  // the step-balance knob of this engine
-            result.trace.push_back(rec);
-        }
-
         if (ft.watchdog) {
             const DivergenceWatchdog::Verdict verdict =
                 watchdog.observe(res.primRes, res.dualRes);

@@ -16,6 +16,11 @@ namespace rsqp
 namespace
 {
 
+/** Regularization delta of the polish KKT system. */
+constexpr Real kPolishDelta = 1e-6;
+/** Iterative-refinement steps against the unregularized system. */
+constexpr Index kPolishRefineIter = 3;
+
 /** y_full = K_true * t for K_true = [[P, A_act'], [A_act, 0]]. */
 void
 applyTrueKkt(const CscMatrix& p_upper, const CscMatrix& a_act,
@@ -97,11 +102,10 @@ polishSolution(const QpProblem& problem, const OsqpSettings& settings,
     // Regularized KKT of the active-set equality QP. Reusing the
     // KKT assembler: sigma = delta, rho = 1/delta gives the -delta*I
     // lower-right block.
-    const Real delta = settings.polishDelta;
+    const Real delta = kPolishDelta;
     KktAssembler assembler(problem.pUpper, a_act, delta,
                            constantVector(ma, 1.0 / delta));
-    const IndexVector perm =
-        computeOrdering(assembler.kkt(), OrderingKind::Rcm);
+    const IndexVector perm = reverseCuthillMcKee(assembler.kkt());
     IndexVector inv(perm.size());
     for (Index i = 0; i < static_cast<Index>(perm.size()); ++i)
         inv[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] =
@@ -136,7 +140,7 @@ polishSolution(const QpProblem& problem, const OsqpSettings& settings,
 
     Vector t = permuted_solve(rhs);
     Vector kt, residual(rhs.size());
-    for (Index iter = 0; iter < settings.polishRefineIter; ++iter) {
+    for (Index iter = 0; iter < kPolishRefineIter; ++iter) {
         applyTrueKkt(problem.pUpper, a_act, t, kt);
         for (std::size_t i = 0; i < rhs.size(); ++i)
             residual[i] = rhs[i] - kt[i];

@@ -9,11 +9,12 @@
  *   [ P + delta*I   A_act' ] [ x ]   [ -q    ]
  *   [ A_act        -delta*I ] [ y ] = [ b_act ]
  *
- * with a few steps of iterative refinement against the unregularized
- * system. The polished point is scored on the real QP — z = Pi_[l,u](A x)
- * and active duals clipped to their bound's sign — and adopted only if
- * neither residual gets worse; with a correct guess it satisfies the
- * KKT conditions to near machine precision.
+ * with delta = 1e-6 and three steps of iterative refinement against
+ * the unregularized system. The polished point is scored on the real
+ * QP — z = Pi_[l,u](A x) and active duals clipped to their bound's
+ * sign — and adopted only if neither residual gets worse; with a
+ * correct guess it satisfies the KKT conditions to near machine
+ * precision.
  */
 
 #ifndef RSQP_OSQP_POLISH_HPP
@@ -30,7 +31,7 @@ namespace rsqp
  * Try to polish a solved result in place (unscaled data).
  *
  * @param problem The original (unscaled) problem.
- * @param settings Solver settings (polishDelta, polishRefineIter).
+ * @param settings Solver settings (epsAbs/epsRel score the result).
  * @param result Solution to polish; x/y/z and the residual info are
  *        replaced if polishing succeeds.
  * @return report of what happened.

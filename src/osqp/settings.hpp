@@ -2,6 +2,12 @@
  * @file
  * Settings of the OSQP ADMM solver (defaults follow the reference
  * implementation; alpha = 1.6 and sigma = 1e-6 as quoted in the paper).
+ *
+ * Choices with a single value in this repo are not settings: every
+ * LDL' factorization runs under reverse Cuthill-McKee, polish uses a
+ * fixed regularization and refinement count (osqp/polish.cpp), and
+ * every termination check's residuals land in
+ * SolveTelemetry::residualTail rather than a separate trace.
  */
 
 #ifndef RSQP_OSQP_SETTINGS_HPP
@@ -11,7 +17,6 @@
 #include "common/fault_injection.hpp"
 #include "common/types.hpp"
 #include "osqp/recovery.hpp"
-#include "solvers/ordering.hpp"
 #include "solvers/pcg.hpp"
 
 namespace rsqp
@@ -45,19 +50,14 @@ struct OsqpSettings
 
     Index scalingIterations = 10; ///< Ruiz equilibration sweeps (0 = off)
 
-    bool polish = false;          ///< active-set solution polishing
-    Real polishDelta = 1e-6;      ///< polish KKT regularization
-    Index polishRefineIter = 3;   ///< iterative-refinement steps
+    bool polish = false;  ///< active-set solution polishing
 
     Real rhoEqScale = 1e3;  ///< rho multiplier for equality constraints
     Real rhoMin = 1e-6;     ///< lower clamp for per-constraint rho
     Real rhoMax = 1e6;      ///< upper clamp for per-constraint rho
 
-    KktBackend backend = KktBackend::DirectLdl;
-    OrderingKind ordering = OrderingKind::Rcm;  ///< direct backend only
-    PcgSettings pcg;                            ///< indirect backend only
-
-    bool recordTrace = false;  ///< keep per-iteration residual history
+    KktBackend backend = KktBackend::DirectLdl;  ///< LDL' under RCM
+    PcgSettings pcg;  ///< indirect backend only
 
     /**
      * Wall-clock budget for one solve() call in seconds (0 = no

@@ -73,8 +73,7 @@ OsqpSolver::rebuildKktSolver()
     switch (settings_.backend) {
       case KktBackend::DirectLdl:
         kkt_ = std::make_unique<DirectKktSolver>(
-            scaled.pUpper, scaled.a, sigmaEff_, rhoVec_,
-            settings_.ordering);
+            scaled.pUpper, scaled.a, sigmaEff_, rhoVec_);
         break;
       case KktBackend::IndirectPcg:
         kkt_ = std::make_unique<IndirectKktSolver>(
@@ -347,16 +346,6 @@ OsqpSolver::solve()
         info.primRes = prim_res;
         info.dualRes = dual_res;
         info.telemetry.pushResidual(iter, prim_res, dual_res);
-
-        if (settings_.recordTrace) {
-            IterationRecord rec;
-            rec.iteration = iter;
-            rec.primRes = prim_res;
-            rec.dualRes = dual_res;
-            rec.rho = rhoBar_;
-            rec.pcgIterations = kstats.pcgIterations;
-            result.trace.push_back(rec);
-        }
 
         if (ft.watchdog) {
             const DivergenceWatchdog::Verdict verdict =

@@ -47,16 +47,6 @@ const char* statusToString(SolveStatus status);
 /** Printable name of a status code (alias of statusToString). */
 const char* toString(SolveStatus status);
 
-/** One row of the optional per-iteration trace. */
-struct IterationRecord
-{
-    Index iteration = 0;
-    Real primRes = 0.0;
-    Real dualRes = 0.0;
-    Real rho = 0.0;
-    Index pcgIterations = 0;
-};
-
 /** Run statistics mirroring OSQP's info struct. */
 struct OsqpInfo
 {
@@ -73,8 +63,8 @@ struct OsqpInfo
     double kktSolveTime = 0.0; ///< seconds inside the KKT backend
                                ///< (the Fig. 8 numerator)
 
-    /// Per-phase hot-path counters of this solve (indirect backend
-    /// with PcgSettings::profile; all-zero otherwise).
+    /// Per-phase hot-path counters of this solve (indirect backend;
+    /// all-zero otherwise).
     HotPathProfile hotPath;
 
     RecoveryReport recovery;   ///< every recovery action of the solve
@@ -104,7 +94,6 @@ struct OsqpResult
     Vector z;  ///< constraint activation A x (unscaled)
     OsqpInfo info;
     PolishReport polish;  ///< filled if settings.polish
-    std::vector<IterationRecord> trace;  ///< filled if recordTrace
     ValidationReport validation;  ///< diagnostics when InvalidProblem
 };
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Admission-plane vocabulary of the async service API: per-request
- * admission classes, the unified SubmitOptions struct every submit
- * path takes, and the cancellation token returned by submitAsync().
+ * admission classes, the SubmitOptions struct every submit path takes
+ * (a deadline and a class, nothing else), and the cancellation token
+ * returned by submitAsync().
  *
  * Admission classes partition traffic by urgency. Each class gets a
  * weighted-fair share of every core's dispatch bandwidth (smooth
@@ -75,32 +76,21 @@ struct AdmissionConfig
     }
 };
 
-/** Per-request warm-start directive, layered over the session's
- *  autoWarmStart default. */
-enum class WarmStartPolicy
-{
-    SessionDefault, ///< follow SessionConfig::autoWarmStart
-    Apply,          ///< warm-start when the previous solution fits
-    Skip,           ///< cold-start this request regardless
-};
-
 /**
  * Everything a client can say about one request, in one struct — the
- * single options surface of submitAsync()/submit()/solve().
+ * single options surface of submitAsync()/submit()/solve(). Warm start
+ * and cache use are not per-request choices: a session warm-starts
+ * whenever the previous solution fits, and consults its bound cache on
+ * every structure change.
  */
 struct SubmitOptions
 {
-    /** Wall-clock budget in seconds, queue wait included (0 = the
-     *  service's defaultDeadlineSeconds). */
+    /** Wall-clock budget in seconds, queue wait included (0 =
+     *  unlimited; negative or non-finite is rejected). */
     Real deadlineSeconds = 0.0;
-    /** Urgency class (see AdmissionClass). */
+    /** Urgency class (see AdmissionClass; a value outside the enum is
+     *  rejected). */
     AdmissionClass admissionClass = AdmissionClass::Interactive;
-    /** Let this request consult/publish the customization cache. Off,
-     *  a structure change customizes privately — for one-off odd
-     *  structures that would otherwise evict hot artifacts. */
-    bool cacheable = true;
-    /** Warm-start directive for this request. */
-    WarmStartPolicy warmStart = WarmStartPolicy::SessionDefault;
 };
 
 /**

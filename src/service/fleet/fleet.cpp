@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "common/thread_pool.hpp"
+
 namespace rsqp
 {
 
@@ -16,32 +18,34 @@ coreSeries(const char* family, std::size_t core)
            "\"}";
 }
 
+/** Run slots per core (see FleetConfig::slotsPerCore). */
+unsigned
+resolveSlots(const FleetConfig& config)
+{
+    if (config.slotsPerCore != 0)
+        return config.slotsPerCore;
+    if (config.coreCount > 1)
+        return 1;
+    return std::max(1u, static_cast<unsigned>(effectiveNumThreads()));
+}
+
 } // namespace
 
 SolverFleet::SolverFleet(const FleetConfig& config,
-                         std::size_t default_cache_capacity,
-                         unsigned legacy_concurrency,
+                         std::size_t cache_capacity,
                          const AdmissionConfig& admission,
                          telemetry::MetricsRegistry& registry)
     : config_(config),
-      slots_(config.slotsPerCore != 0
-                 ? config.slotsPerCore
-                 : (config.coreCount <= 1
-                        ? std::max(1u, legacy_concurrency)
-                        : 1u)),
+      slots_(resolveSlots(config)),
       interleave_(config.coreCount > 1
                       ? std::max(1u, config.interleaveWidth)
                       : 1u),
-      scheduler_(config.policy, std::max(1u, config.coreCount),
-                 config.affinityQueueBound),
+      scheduler_(std::max(1u, config.coreCount), config.affinityQueueBound),
       cores_(std::max(1u, config.coreCount))
 {
     for (std::size_t c = 0; c < kAdmissionClassCount; ++c)
         classWeights_[c] = std::max<std::int64_t>(
             1, static_cast<std::int64_t>(admission.classes[c].weight));
-    const std::size_t partitionCapacity =
-        config.cacheCapacityPerCore != 0 ? config.cacheCapacityPerCore
-                                         : default_cache_capacity;
     registry
         .gauge("rsqp_fleet_cores",
                "Simulated solver cores behind the service")
@@ -49,7 +53,7 @@ SolverFleet::SolverFleet(const FleetConfig& config,
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         Core& core = cores_[i];
         core.cache =
-            std::make_shared<CustomizationCache>(partitionCapacity);
+            std::make_shared<CustomizationCache>(cache_capacity);
         core.jobsTotal = &registry.counter(
             coreSeries("rsqp_fleet_core_jobs_total", i),
             "Jobs executed on this core");
@@ -120,7 +124,7 @@ SolverFleet::availableCoreCount() const
 }
 
 std::size_t
-SolverFleet::placeSession(const StructureFingerprint& fp)
+SolverFleet::placeSession(const StructureFingerprint& fp) const
 {
     return scheduler_.place(fp, loads());
 }

@@ -5,9 +5,12 @@
  * the paper's economics assume.
  *
  * Each core owns its slice of the serving state: a private
- * customization-cache partition (an artifact is hot on exactly the
- * core its structures route to), bounded run slots (a core is one
- * device: one instruction stream at a time unless configured wider),
+ * customization-cache partition of ServiceConfig::cacheCapacity
+ * artifacts (an artifact is hot on exactly the core its structures
+ * route to — placement is structure affinity, see placement.hpp),
+ * bounded run slots (FleetConfig::slotsPerCore; a core of a multi-core
+ * fleet is one device running one instruction stream at a time, and a
+ * one-core fleet defaults to one stream per worker thread),
  * per-admission-class ready queues drained by smooth weighted
  * round-robin (so Realtime traffic keeps its configured share of the
  * core even while Batch work is backed up behind it), and per-core
@@ -66,12 +69,10 @@ struct FleetConfig
 {
     /** Simulated solver cores (>= 1). */
     unsigned coreCount = 1;
-    /** How ready sessions are routed onto cores. */
-    PlacementPolicy policy = PlacementPolicy::Affinity;
     /**
      * Concurrent instruction streams per core. 0 = auto: with one
-     * core, the service's legacy maxConcurrency (exact pre-fleet
-     * behavior); with more, 1 — a core is one device.
+     * core, the host's worker-thread count (effectiveNumThreads());
+     * with more, 1 — a core is one device.
      */
     unsigned slotsPerCore = 0;
     /** Ready-queue depth beyond which affinity spills to least-loaded. */
@@ -81,9 +82,6 @@ struct FleetConfig
     unsigned interleaveWidth = 4;
     /** A job with n + m <= this counts as small (interleavable). */
     Index smallJobThreshold = 128;
-    /** Per-core cache partition capacity (0 = the service's
-     *  cacheCapacity in every partition). */
-    std::size_t cacheCapacityPerCore = 0;
     /** Health-model knobs: stall watchdog, breaker, probe backoff. */
     FaultDomainConfig faultDomain;
     /**
@@ -159,18 +157,14 @@ class SolverFleet
 {
   public:
     /**
-     * @param default_cache_capacity Partition capacity when the config
-     *        leaves cacheCapacityPerCore at 0.
-     * @param legacy_concurrency Run slots of a single-core fleet when
-     *        slotsPerCore is auto (the pre-fleet maxConcurrency).
+     * @param cache_capacity Capacity of every core's cache partition
+     *        (ServiceConfig::cacheCapacity).
      * @param admission Class weights driving each core's weighted-fair
      *        ready-queue dispatch.
      * @param registry Receives the per-core labeled series; must
      *        outlive the fleet.
      */
-    SolverFleet(const FleetConfig& config,
-                std::size_t default_cache_capacity,
-                unsigned legacy_concurrency,
+    SolverFleet(const FleetConfig& config, std::size_t cache_capacity,
                 const AdmissionConfig& admission,
                 telemetry::MetricsRegistry& registry);
 
@@ -185,7 +179,7 @@ class SolverFleet
     }
 
     /** Route a ready session by its head job's fingerprint. */
-    std::size_t placeSession(const StructureFingerprint& fp);
+    std::size_t placeSession(const StructureFingerprint& fp) const;
 
     /** Append a placed session to its core's ready queue, under the
      *  head job's admission class. */

@@ -3,22 +3,9 @@
 namespace rsqp
 {
 
-const char*
-toString(PlacementPolicy policy)
-{
-    switch (policy) {
-    case PlacementPolicy::Affinity: return "affinity";
-    case PlacementPolicy::LeastLoaded: return "least_loaded";
-    case PlacementPolicy::RoundRobin: return "round_robin";
-    }
-    return "unknown";
-}
-
-PlacementScheduler::PlacementScheduler(PlacementPolicy policy,
-                                       std::size_t core_count,
+PlacementScheduler::PlacementScheduler(std::size_t core_count,
                                        std::size_t affinity_queue_bound)
-    : policy_(policy),
-      coreCount_(core_count == 0 ? 1 : core_count),
+    : coreCount_(core_count == 0 ? 1 : core_count),
       bound_(affinity_queue_bound)
 {
 }
@@ -55,7 +42,7 @@ PlacementScheduler::preferredAmong(
 }
 
 std::size_t
-PlacementScheduler::leastLoaded(const std::vector<CoreLoad>& loads) const
+PlacementScheduler::leastLoaded(const std::vector<CoreLoad>& loads)
 {
     std::size_t best = 0;
     std::size_t bestLoad = ~static_cast<std::size_t>(0);
@@ -75,7 +62,7 @@ PlacementScheduler::leastLoaded(const std::vector<CoreLoad>& loads) const
 
 std::size_t
 PlacementScheduler::place(const StructureFingerprint& fp,
-                          const std::vector<CoreLoad>& loads)
+                          const std::vector<CoreLoad>& loads) const
 {
     if (coreCount_ <= 1 || loads.size() <= 1)
         return 0;
@@ -89,35 +76,17 @@ PlacementScheduler::place(const StructureFingerprint& fp,
     if (available.empty())
         return preferredCore(fp, coreCount_);
 
-    switch (policy_) {
-    case PlacementPolicy::RoundRobin: {
-        // Advance the cursor past fenced cores; the rotation order of
-        // the survivors is unchanged.
-        for (std::size_t i = 0; i < coreCount_; ++i) {
-            const std::size_t core = nextRoundRobin_;
-            nextRoundRobin_ = (nextRoundRobin_ + 1) % coreCount_;
-            if (loads[core].available)
-                return core;
-        }
-        return available.front();
-    }
-    case PlacementPolicy::LeastLoaded:
+    if (!fp.cacheable)  // no artifact can ever be hot for it
         return leastLoaded(loads);
-    case PlacementPolicy::Affinity: {
-        if (!fp.cacheable)  // no artifact can ever be hot for it
-            return leastLoaded(loads);
-        const std::size_t preferred = preferredCore(fp, coreCount_);
-        if (!loads[preferred].available)
-            // Deterministic re-spill (see preferredAmong): the same
-            // structure keeps landing on the same failover core while
-            // its home core sits in quarantine.
-            return preferredAmong(fp, available);
-        if (loads[preferred].queuedSessions > bound_)
-            return leastLoaded(loads);
-        return preferred;
-    }
-    }
-    return 0;
+    const std::size_t preferred = preferredCore(fp, coreCount_);
+    if (!loads[preferred].available)
+        // Deterministic re-spill (see preferredAmong): the same
+        // structure keeps landing on the same failover core while its
+        // home core sits in quarantine.
+        return preferredAmong(fp, available);
+    if (loads[preferred].queuedSessions > bound_)
+        return leastLoaded(loads);
+    return preferred;
 }
 
 } // namespace rsqp

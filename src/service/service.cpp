@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -20,14 +21,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-unsigned
-resolveMaxConcurrency(const ServiceConfig& config)
-{
-    if (config.maxConcurrency != 0)
-        return config.maxConcurrency;
-    return static_cast<unsigned>(effectiveNumThreads());
 }
 
 /** The per-session label series name ("...{session=\"7\"}"). */
@@ -50,9 +43,8 @@ classSeries(const char* family, AdmissionClass cls)
 
 SolverService::SolverService(ServiceConfig config)
     : config_(config),
-      maxConcurrency_(resolveMaxConcurrency(config)),
-      fleet_(config.fleet, config.cacheCapacity, maxConcurrency_,
-             config.admission, registry_),
+      fleet_(config.fleet, config.cacheCapacity, config.admission,
+             registry_),
       cache_(fleet_.coreCache(0)),
       submitted_(registry_.counter("rsqp_service_submitted_total",
                                    "Requests handed to submitAsync()")),
@@ -132,8 +124,6 @@ SolverService::SolverService(ServiceConfig config)
             classSeries("rsqp_service_class_retry_after_us", cls),
             "Microseconds of back-off suggested to this class");
     }
-    if (config_.tracing)
-        telemetry::TraceRecorder::global().enable();
 }
 
 SolverService::~SolverService()
@@ -332,13 +322,29 @@ SolverService::submitAsync(SessionId id, QpProblem problem,
                            SubmitOptions options,
                            SolveCallback callback)
 {
+    // Options are checked before anything indexes the per-class
+    // arrays: a class outside the enum or a deadline that is negative
+    // or not finite is a client error, resolved on the caller's thread.
+    const bool knownClass =
+        classIndex(options.admissionClass) < kAdmissionClassCount;
+    if (!knownClass || !std::isfinite(options.deadlineSeconds) ||
+        options.deadlineSeconds < 0.0) {
+        submitted_.increment();
+        rejected_.increment();
+        SessionResult result;
+        result.status = SolveStatus::Rejected;
+        result.validation.issues.push_back(
+            {ValidationCode::InvalidSetting,
+             knownClass ? "deadlineSeconds must be finite and >= 0"
+                        : "admissionClass is not a known class"});
+        callback(std::move(result));
+        return RequestToken();
+    }
+
     auto job = std::make_shared<Job>();
     job->problem = std::move(problem);
     job->options = options;
     job->session = id;
-    job->deadline = options.deadlineSeconds > 0.0
-                        ? options.deadlineSeconds
-                        : config_.defaultDeadlineSeconds;
     job->enqueued = std::chrono::steady_clock::now();
     job->callback = std::move(callback);
     // Placement key, computed on the caller's thread: value-blind, so
@@ -675,8 +681,8 @@ SolverService::runStream(Launch stream)
             // them out on the hung core.
             const double waited = secondsSince(entry.job->enqueued) +
                                   entry.job->stallSeconds;
-            const bool expired = entry.job->deadline > 0.0 &&
-                                 waited >= entry.job->deadline;
+            const Real deadline = entry.job->options.deadlineSeconds;
+            const bool expired = deadline > 0.0 && waited >= deadline;
             const auto executeStart = std::chrono::steady_clock::now();
             if (expired) {
                 // Too late to start: report the deadline without
@@ -685,18 +691,15 @@ SolverService::runStream(Launch stream)
                 result.status = SolveStatus::TimeLimitReached;
             } else {
                 const Real budget =
-                    entry.job->deadline > 0.0
-                        ? entry.job->deadline - static_cast<Real>(waited)
-                        : 0.0;
+                    deadline > 0.0 ? deadline - static_cast<Real>(waited)
+                                   : 0.0;
                 // The session consults the placed core's cache
                 // partition, so affinity-routed structures find their
                 // artifact hot.
                 entry.state->session->bindCache(
                     fleet_.coreCache(stream.core));
                 result = entry.state->session->solve(
-                    entry.job->problem, budget,
-                    entry.job->options.cacheable,
-                    entry.job->options.warmStart);
+                    entry.job->problem, budget);
             }
             const bool degraded =
                 action.kind == FleetFaultAction::Kind::Degrade;
@@ -849,12 +852,6 @@ std::string
 SolverService::metricsText() const
 {
     return metricsSnapshot().toPrometheusText();
-}
-
-std::string
-SolverService::dumpTrace() const
-{
-    return telemetry::TraceRecorder::global().drainJson();
 }
 
 SessionStats

@@ -5,11 +5,10 @@
  * multi-core device fleet.
  *
  * The client surface is asynchronous: submitAsync() takes a
- * SubmitOptions (deadline, admission class, cacheability, warm-start
- * policy) and a completion callback invoked exactly once, off the
- * service lock, with the request's SessionResult; it returns a
- * RequestToken that cancel() can revoke while the request still waits
- * in the queue. submit() is a thin future adapter over submitAsync(),
+ * SubmitOptions (deadline, admission class) and a completion callback
+ * invoked exactly once, off the service lock, with the request's
+ * SessionResult; it returns a RequestToken that cancel() can revoke
+ * while the request still waits in the queue. submit() is a thin future adapter over submitAsync(),
  * and solve() is submit().get().
  *
  * The service owns one SolverSession per client and a SolverFleet of
@@ -19,9 +18,9 @@
  * session run strictly in submission order (a session is never on two
  * workers at once), while different sessions run in parallel up to
  * the fleet's slot capacity. Ready sessions are routed onto cores by
- * the placement scheduler — by default structure-fingerprint
- * affinity, so same-structure jobs land where the customization
- * artifact is already hot — and drained per-core by smooth weighted
+ * the placement scheduler — structure-fingerprint affinity, so
+ * same-structure jobs land where the customization artifact is
+ * already hot — and drained per-core by smooth weighted
  * round-robin across admission classes, so Realtime work keeps its
  * configured share of every core under Batch backlog. Combined with
  * the pool's deterministic kernels this makes every session's result
@@ -80,24 +79,15 @@ struct ServiceConfig
     /** Max requests waiting across all sessions; overflow is shed
      *  from a lower class or Rejected. */
     std::size_t maxQueueDepth = 64;
-    /** Max sessions solving at once on a single-core fleet (0 = the
-     *  host's hardware thread count). With coreCount > 1 concurrency is
-     *  the fleet's slot capacity instead (see
-     *  FleetConfig::slotsPerCore). */
-    unsigned maxConcurrency = 0;
     /** Customization-cache capacity in artifacts per core partition
      *  (0 disables). */
     std::size_t cacheCapacity = 16;
-    /** Deadline applied when a request passes none (0 = unlimited). */
-    Real defaultDeadlineSeconds = 0.0;
     /** Smallest retry-after hint attached to an overflow rejection
      *  (seconds); the estimate never reports "retry immediately". */
     Real retryAfterFloorSeconds = 0.001;
     /** Per-class weights and depth bounds of the admission plane. */
     AdmissionConfig admission;
-    /** Enable the global trace recorder for the service's lifetime. */
-    bool tracing = false;
-    /** Device-fleet shape: core count, placement policy, interleaving. */
+    /** Device-fleet shape: core count, run slots, interleaving. */
     FleetConfig fleet;
 };
 
@@ -181,7 +171,10 @@ class SolverService
      * Never blocks on solver work: overflow beyond the class/global
      * queue bounds and unknown/closed sessions resolve Rejected
      * immediately (overflow carries a class-aware retryAfterSeconds
-     * hint). A positive options.deadlineSeconds (queue wait included)
+     * hint), and so do options the service cannot honor — an
+     * admissionClass outside the enum, or a negative or non-finite
+     * deadlineSeconds — with the reason in the result's validation
+     * report. A positive options.deadlineSeconds (queue wait included)
      * expires queued requests to TimeLimitReached and hands the
      * remaining budget to the session as the solve's time budget.
      *
@@ -232,13 +225,6 @@ class SolverService
     /** metricsSnapshot() in Prometheus text exposition format. */
     std::string metricsText() const;
 
-    /**
-     * Drain the global trace recorder as Chrome trace_event JSON
-     * (spans recorded by every solve that ran while tracing was
-     * enabled; empty under -DRSQP_TELEMETRY=OFF).
-     */
-    std::string dumpTrace() const;
-
     /** The registry backing stats()/metricsText() (test access). */
     telemetry::MetricsRegistry& registry() { return registry_; }
 
@@ -253,11 +239,9 @@ class SolverService
     struct Job
     {
         QpProblem problem;
-        /** The request's options verbatim (class, cacheability,
-         *  warm-start policy); the resolved deadline lives below. */
+        /** The request's options verbatim (deadline, class). */
         SubmitOptions options;
         SessionId session = 0;   ///< owner (cancel's lookup key)
-        Real deadline = 0.0;     ///< seconds, 0 = unlimited
         std::chrono::steady_clock::time_point enqueued;
         /** Invoked exactly once by whichever path resolves the job. */
         SolveCallback callback;
@@ -388,7 +372,6 @@ class SolverService
     void syncGaugesLocked() const;
 
     ServiceConfig config_;
-    unsigned maxConcurrency_;
 
     /**
      * Registry backing every service counter; ServiceStats is

@@ -44,8 +44,7 @@ SolverSession::sameStructure(const QpProblem& problem) const
 }
 
 void
-SolverSession::rebuild(const QpProblem& problem, bool cacheable,
-                       SessionResult& result)
+SolverSession::rebuild(const QpProblem& problem, SessionResult& result)
 {
     if (config_.engine == SessionEngine::Host) {
         // Route through the backend factory: settings.firstOrder picks
@@ -55,10 +54,7 @@ SolverSession::rebuild(const QpProblem& problem, bool cacheable,
         return;
     }
 
-    // A non-cacheable request neither reads nor publishes artifacts:
-    // its one-off structure customizes privately and the hot working
-    // set survives untouched.
-    const bool useCache = cacheable && cache_ != nullptr;
+    const bool useCache = cache_ != nullptr;
     StructureFingerprint fp;
     std::shared_ptr<const CustomizationArtifact> artifact;
     if (useCache) {
@@ -99,8 +95,7 @@ SolverSession::applyParametricUpdates(const QpProblem& problem)
 }
 
 SessionResult
-SolverSession::solve(const QpProblem& problem, Real time_budget,
-                     bool cacheable, WarmStartPolicy warm_start)
+SolverSession::solve(const QpProblem& problem, Real time_budget)
 {
     SessionResult result;
 
@@ -122,7 +117,7 @@ SolverSession::solve(const QpProblem& problem, Real time_budget,
         result.parametricReuse = true;
         ++stats_.parametricSolves;
     } else {
-        rebuild(problem, cacheable, result);
+        rebuild(problem, result);
         ++stats_.rebuilds;
         haveWarm_ = false;  // a fresh solver means a fresh structure
     }
@@ -137,11 +132,7 @@ SolverSession::solve(const QpProblem& problem, Real time_budget,
 
     const Index n = problem.numVariables();
     const Index m = problem.numConstraints();
-    const bool wantWarm =
-        warm_start == WarmStartPolicy::SessionDefault
-            ? config_.autoWarmStart
-            : warm_start == WarmStartPolicy::Apply;
-    if (wantWarm && haveWarm_ &&
+    if (haveWarm_ &&
         lastX_.size() == static_cast<std::size_t>(n) &&
         lastY_.size() == static_cast<std::size_t>(m)) {
         if (withEngine([&](auto& engine) {

@@ -14,8 +14,10 @@
  *     publish the artifact for every other session.
  *
  * Warm-start state (the previous solution) is carried across requests
- * and applied automatically when shapes match. Sessions are not
- * thread-safe: the service front-end serializes requests per session.
+ * and applied whenever shapes match, and a bound cache is consulted on
+ * every structure change; neither is a per-request choice. Sessions
+ * are not thread-safe: the service front-end serializes requests per
+ * session.
  */
 
 #ifndef RSQP_SERVICE_SESSION_HPP
@@ -26,7 +28,6 @@
 #include "backends/qp_backend.hpp"
 #include "core/rsqp_solver.hpp"
 #include "osqp/solver.hpp"
-#include "service/admission.hpp"
 #include "service/customization_cache.hpp"
 #include "telemetry/solve_telemetry.hpp"
 
@@ -49,8 +50,6 @@ struct SessionConfig
     /** Customization pipeline knobs (Device engine only). */
     CustomizeSettings custom;
     SessionEngine engine = SessionEngine::Device;
-    /** Re-apply the previous solution as a warm start when it fits. */
-    bool autoWarmStart = true;
 };
 
 /** Outcome of one session solve, engine-agnostic. */
@@ -131,18 +130,8 @@ class SolverSession
      *        Host engine; the Device engine's simulated run is not
      *        interruptible, so its deadline is enforced by the service
      *        queue at admission time.
-     * @param cacheable Whether a structure change on this request may
-     *        consult or publish the customization cache. Off, a
-     *        rebuild customizes privately — for one-off structures
-     *        that must not evict hot artifacts.
-     * @param warm_start Per-request warm-start directive layered over
-     *        SessionConfig::autoWarmStart (SessionDefault follows it;
-     *        Apply/Skip override for this request only).
      */
-    SessionResult solve(
-        const QpProblem& problem, Real time_budget = 0.0,
-        bool cacheable = true,
-        WarmStartPolicy warm_start = WarmStartPolicy::SessionDefault);
+    SessionResult solve(const QpProblem& problem, Real time_budget = 0.0);
 
     /** Drop the live solver and warm-start state (structure forgotten). */
     void reset();
@@ -163,10 +152,9 @@ class SolverSession
     /** Structure-exact equality against the live problem. */
     bool sameStructure(const QpProblem& problem) const;
 
-    /** Paths 2/3: build a fresh solver, consulting the cache unless
-     *  the request opted out. */
-    void rebuild(const QpProblem& problem, bool cacheable,
-                 SessionResult& result);
+    /** Paths 2/3: build a fresh solver, consulting the cache when one
+     *  is bound. */
+    void rebuild(const QpProblem& problem, SessionResult& result);
 
     /** Path 1: diff against the live problem and push updates. */
     void applyParametricUpdates(const QpProblem& problem);

@@ -2,6 +2,7 @@
 
 #include "common/logging.hpp"
 #include "linalg/vector_ops.hpp"
+#include "solvers/ordering.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -26,12 +27,11 @@ namespace rsqp
 
 DirectKktSolver::DirectKktSolver(const CscMatrix& p_upper,
                                  const CscMatrix& a, Real sigma,
-                                 const Vector& rho_vec,
-                                 OrderingKind ordering)
+                                 const Vector& rho_vec)
     : n_(p_upper.cols()), m_(a.rows()),
       assembler_(p_upper, a, sigma, rho_vec), rhoVec_(rho_vec)
 {
-    perm_ = computeOrdering(assembler_.kkt(), ordering);
+    perm_ = reverseCuthillMcKee(assembler_.kkt());
     invPerm_.resize(perm_.size());
     for (Index i = 0; i < static_cast<Index>(perm_.size()); ++i)
         invPerm_[static_cast<std::size_t>(
@@ -154,8 +154,7 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
     TELEMETRY_SPAN("kkt.pcg");
     // Record the hot-path phases of everything below (rhs build, PCG
     // loop, final A x) into this solver's profiler.
-    HotPathProfilerScope profile_scope(
-        pcgSettings_.profile ? &profiler_ : nullptr);
+    HotPathProfilerScope profile_scope(&profiler_);
 
     // b = rhs_x + A' diag(rho) rhs_z — the rho scaling happens inside
     // the gather, with no length-m temporary.
@@ -187,8 +186,7 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
             // Re-warm PCG from the trustworthy direct solution so the
             // next step starts from a clean Krylov state.
             warmX_ = x_tilde;
-            if (pcgSettings_.profile)
-                stats.hotPath = profiler_.snapshot();
+            stats.hotPath = profiler_.snapshot();
             return stats;
         }
         // No fallback: surrender the poisoned warm start (a NaN here
@@ -199,8 +197,7 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
         else
             warmX_ = x_tilde;
         op_.applyA(x_tilde, z_tilde);
-        if (pcgSettings_.profile)
-            stats.hotPath = profiler_.snapshot();
+        stats.hotPath = profiler_.snapshot();
         return stats;
     }
 
@@ -210,8 +207,7 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
     warmX_ = x_tilde;
 
     op_.applyA(x_tilde, z_tilde);
-    if (pcgSettings_.profile)
-        stats.hotPath = profiler_.snapshot();
+    stats.hotPath = profiler_.snapshot();
     return stats;
 }
 

@@ -21,7 +21,6 @@
 #include "linalg/csc.hpp"
 #include "linalg/kkt.hpp"
 #include "solvers/ldl.hpp"
-#include "solvers/ordering.hpp"
 #include "solvers/pcg.hpp"
 
 namespace rsqp
@@ -35,7 +34,7 @@ struct KktSolveStats
     bool usedFallback = false; ///< PCG broke down; LDL' solved the step
     PcgBreakdown pcgBreakdown = PcgBreakdown::None;
     /// Cumulative hot-path counters through this solve (indirect
-    /// backend with PcgSettings::profile only; zeros otherwise).
+    /// backend only; zeros otherwise).
     HotPathProfile hotPath;
 };
 
@@ -94,11 +93,11 @@ class DirectKktSolver : public KktSolver
      * @param a Constraint matrix.
      * @param sigma ADMM sigma.
      * @param rho_vec Initial per-constraint rho.
-     * @param ordering Fill-reducing ordering strategy.
+     *
+     * The factorization runs under the reverse Cuthill-McKee ordering.
      */
     DirectKktSolver(const CscMatrix& p_upper, const CscMatrix& a,
-                    Real sigma, const Vector& rho_vec,
-                    OrderingKind ordering = OrderingKind::Rcm);
+                    Real sigma, const Vector& rho_vec);
 
     KktSolveStats solve(const Vector& rhs_x, const Vector& rhs_z,
                         Vector& x_tilde, Vector& z_tilde) override;
@@ -116,7 +115,7 @@ class DirectKktSolver : public KktSolver
     Index n_;
     Index m_;
     KktAssembler assembler_;
-    IndexVector perm_;     ///< ordering permutation
+    IndexVector perm_;     ///< RCM permutation
     IndexVector invPerm_;  ///< inverse permutation
     CscMatrix kktPermuted_;
     std::unique_ptr<LdlFactorization> ldl_;
@@ -144,7 +143,7 @@ class IndirectKktSolver : public KktSolver
     const HotPathProfiler*
     hotPathProfiler() const override
     {
-        return pcgSettings_.profile ? &profiler_ : nullptr;
+        return &profiler_;
     }
 
     void resetHotPathProfile() override { profiler_.reset(); }

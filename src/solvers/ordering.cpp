@@ -1,13 +1,9 @@
 #include "ordering.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <cstdlib>
 #include <queue>
-#include <set>
-#include <utility>
 #include <vector>
-#include <functional>
 
 #include "common/logging.hpp"
 
@@ -117,82 +113,6 @@ reverseCuthillMcKee(const CscMatrix& upper)
 
     std::reverse(order.begin(), order.end());
     return order;
-}
-
-IndexVector
-minimumDegree(const CscMatrix& upper)
-{
-    RSQP_ASSERT(upper.rows() == upper.cols(),
-                "minimumDegree needs a square matrix");
-    const Index n = upper.cols();
-    // Elimination graph with exact degree updates. Sets keep the
-    // neighbor lists unique under clique insertion.
-    std::vector<std::set<Index>> adj(static_cast<std::size_t>(n));
-    for (Index c = 0; c < n; ++c) {
-        for (Index p = upper.colPtr()[c]; p < upper.colPtr()[c + 1];
-             ++p) {
-            const Index r = upper.rowIdx()[p];
-            if (r == c)
-                continue;
-            adj[static_cast<std::size_t>(r)].insert(c);
-            adj[static_cast<std::size_t>(c)].insert(r);
-        }
-    }
-
-    // Lazy min-heap of (degree, node).
-    using Entry = std::pair<Index, Index>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    for (Index v = 0; v < n; ++v)
-        heap.emplace(static_cast<Index>(
-                         adj[static_cast<std::size_t>(v)].size()),
-                     v);
-    std::vector<bool> eliminated(static_cast<std::size_t>(n), false);
-
-    IndexVector order;
-    order.reserve(static_cast<std::size_t>(n));
-    while (!heap.empty()) {
-        const auto [deg, v] = heap.top();
-        heap.pop();
-        if (eliminated[static_cast<std::size_t>(v)] ||
-            deg != static_cast<Index>(
-                       adj[static_cast<std::size_t>(v)].size()))
-            continue;  // stale entry
-        eliminated[static_cast<std::size_t>(v)] = true;
-        order.push_back(v);
-
-        // Eliminate v: its alive neighbors become a clique.
-        const std::set<Index> neighbors =
-            std::move(adj[static_cast<std::size_t>(v)]);
-        adj[static_cast<std::size_t>(v)].clear();
-        for (Index u : neighbors) {
-            auto& adj_u = adj[static_cast<std::size_t>(u)];
-            adj_u.erase(v);
-            for (Index w : neighbors)
-                if (w != u)
-                    adj_u.insert(w);
-            heap.emplace(static_cast<Index>(adj_u.size()), u);
-        }
-    }
-    RSQP_ASSERT(static_cast<Index>(order.size()) == n,
-                "minimum degree lost nodes");
-    return order;
-}
-
-IndexVector
-computeOrdering(const CscMatrix& upper, OrderingKind kind)
-{
-    switch (kind) {
-      case OrderingKind::Natural: {
-        IndexVector perm(static_cast<std::size_t>(upper.cols()));
-        std::iota(perm.begin(), perm.end(), Index{0});
-        return perm;
-      }
-      case OrderingKind::Rcm:
-        return reverseCuthillMcKee(upper);
-      case OrderingKind::MinDegree:
-        return minimumDegree(upper);
-    }
-    RSQP_PANIC("unknown ordering kind");
 }
 
 Index

@@ -1,11 +1,12 @@
 /**
  * @file
- * Fill-reducing orderings for the direct KKT factorization.
+ * The fill-reducing ordering of the direct KKT factorization.
  *
- * The reference OSQP uses AMD; we provide reverse Cuthill-McKee, which
- * keeps the LDL' factors compact on the banded/block-structured KKT
- * systems that dominate the benchmark (MPC, lasso, huber, ...), plus the
- * identity ordering as a baseline.
+ * The reference OSQP uses AMD; this repo uses reverse Cuthill-McKee
+ * everywhere an LDL' factorization is built (ADMM direct backend,
+ * polish, the PCG breakdown fallback). RCM keeps the factors compact on
+ * the banded/block-structured KKT systems that dominate the benchmark
+ * (MPC, lasso, huber, ...).
  */
 
 #ifndef RSQP_SOLVERS_ORDERING_HPP
@@ -17,14 +18,6 @@
 namespace rsqp
 {
 
-/** Ordering strategy selector for the direct solver. */
-enum class OrderingKind
-{
-    Natural,    ///< identity permutation
-    Rcm,        ///< reverse Cuthill-McKee
-    MinDegree,  ///< greedy minimum degree (the AMD role in OSQP)
-};
-
 /**
  * Compute a reverse Cuthill-McKee ordering of the symmetric pattern
  * whose upper triangle is given.
@@ -35,19 +28,8 @@ enum class OrderingKind
 IndexVector reverseCuthillMcKee(const CscMatrix& upper);
 
 /**
- * Greedy minimum-degree ordering on the elimination graph (the
- * classical fill-reducing heuristic; OSQP uses its approximate
- * variant, AMD). Exact degree updates, lazy heap; intended for the
- * moderate KKT sizes of the direct backend.
- */
-IndexVector minimumDegree(const CscMatrix& upper);
-
-/** Dispatch on OrderingKind; Natural returns the identity. */
-IndexVector computeOrdering(const CscMatrix& upper, OrderingKind kind);
-
-/**
  * Bandwidth of the symmetric pattern under a permutation — the metric
- * RCM minimizes; exported for tests and the ordering ablation bench.
+ * RCM minimizes; exported for tests.
  */
 Index symmetricBandwidth(const CscMatrix& upper, const IndexVector& perm);
 

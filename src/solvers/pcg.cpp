@@ -11,6 +11,20 @@
 namespace rsqp
 {
 
+namespace
+{
+
+/**
+ * Declare stagnation breakdown after this many consecutive iterations
+ * without the residual norm improving on its best by at least 0.1%.
+ * Distinct from a clean maxIter cap-out: stagnation means the Krylov
+ * recurrence has stopped making progress (lost conjugacy, corrupted
+ * operator) and more iterations cannot help.
+ */
+constexpr Index kStagnationWindow = 250;
+
+} // namespace
+
 const char*
 toString(PcgBreakdown breakdown)
 {
@@ -159,8 +173,7 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
         if (r_norm < 0.999 * best_r_norm) {
             best_r_norm = r_norm;
             iters_without_progress = 0;
-        } else if (settings.stagnationWindow > 0 &&
-                   ++iters_without_progress >= settings.stagnationWindow) {
+        } else if (++iters_without_progress >= kStagnationWindow) {
             RSQP_WARN("pcg: residual stagnant at ", r_norm, " for ",
                       iters_without_progress, " iterations; aborting");
             result.breakdown = PcgBreakdown::Stagnation;

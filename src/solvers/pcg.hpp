@@ -7,6 +7,13 @@
  * cuOSQP and RSQP. The loop structure matches the paper line by line so
  * the architecture program lowering (src/arch/program_builder) can be
  * validated against this reference.
+ *
+ * The settings below are the whole tuning surface. Two behaviours are
+ * fixed rather than configurable: a solve that makes no residual
+ * progress for 250 iterations reports PcgBreakdown::Stagnation, and
+ * the IndirectKktSolver always records the per-phase hot-path counters
+ * (SpMV passes, fused kernels, reductions) surfaced through
+ * KktSolveStats/OsqpInfo.
  */
 
 #ifndef RSQP_SOLVERS_PCG_HPP
@@ -57,30 +64,12 @@ struct PcgSettings
     }
 
     /**
-     * Declare stagnation breakdown after this many consecutive
-     * iterations without the residual norm improving on its best by
-     * at least 0.1% (0 disables the check). Distinct from a clean
-     * maxIter cap-out: stagnation means the Krylov recurrence has
-     * stopped making progress (lost conjugacy, corrupted operator)
-     * and more iterations cannot help.
-     */
-    Index stagnationWindow = 250;
-
-    /**
      * Let IndirectKktSolver answer a broken-down PCG solve with the
      * DirectKktSolver LDL' path for that step (the PCG warm start is
      * then re-seeded from the direct solution). A clean maxIter
      * cap-out never triggers the fallback — only a breakdown does.
      */
     bool directFallback = true;
-
-    /**
-     * Record per-phase hot-path counters (SpMV passes, fused kernels,
-     * reductions) during IndirectKktSolver solves; surfaced through
-     * KktSolveStats/OsqpInfo. Costs one thread-local read plus two
-     * clock reads per instrumented kernel call.
-     */
-    bool profile = true;
 };
 
 /** Why a PCG solve gave up before converging. */
@@ -89,7 +78,7 @@ enum class PcgBreakdown
     None,                ///< converged, or a clean maxIter cap-out
     IndefiniteDirection, ///< p'Kp <= 0 or non-finite curvature
     NonFiniteResidual,   ///< NaN/Inf contaminated the recurrence
-    Stagnation,          ///< no residual progress for stagnationWindow
+    Stagnation,          ///< no residual progress for 250 iterations
 };
 
 /** Printable breakdown name. */

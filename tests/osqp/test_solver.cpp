@@ -136,16 +136,24 @@ TEST(OsqpSolver, MaxIterReached)
 
 TEST(OsqpSolver, TraceRecordsResidualHistory)
 {
-    OsqpSettings settings = defaultSettings(KktBackend::DirectLdl);
-    settings.recordTrace = true;
-    OsqpSolver solver(boxQp(), settings);
+    // Every termination check lands in the telemetry's residual tail,
+    // oldest first, ending on the residuals the result reports.
+    OsqpSolver solver(boxQp(), defaultSettings(KktBackend::DirectLdl));
     const OsqpResult result = solver.solve();
-    ASSERT_FALSE(result.trace.empty());
-    for (const IterationRecord& rec : result.trace) {
-        EXPECT_GT(rec.iteration, 0);
-        EXPECT_GE(rec.primRes, 0.0);
-        EXPECT_GT(rec.rho, 0.0);
+    const std::vector<ResidualSample>& tail =
+        result.info.telemetry.residualTail;
+    ASSERT_FALSE(tail.empty());
+    EXPECT_LE(tail.size(), kResidualTailCapacity);
+    Index previous = 0;
+    for (const ResidualSample& sample : tail) {
+        EXPECT_GT(sample.iteration, previous);
+        EXPECT_GE(sample.primalResidual, 0.0);
+        EXPECT_GE(sample.dualResidual, 0.0);
+        previous = sample.iteration;
     }
+    EXPECT_EQ(tail.back().iteration, result.info.iterations);
+    EXPECT_EQ(tail.back().primalResidual, result.info.primRes);
+    EXPECT_EQ(tail.back().dualResidual, result.info.dualRes);
 }
 
 TEST(OsqpSolver, WarmStartReducesIterations)

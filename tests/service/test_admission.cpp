@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -45,7 +46,7 @@ classOptions(AdmissionClass cls)
  * Freezes the admission queue deterministically: submits one head
  * request whose completion callback blocks the worker until
  * release(). Per-entry callbacks run before the stream releases its
- * core slot, so with maxConcurrency = 1 nothing else can dispatch
+ * core slot, so with slotsPerCore = 1 nothing else can dispatch
  * while the gate is held — every request submitted in between sits
  * in a queue in a fully observable state.
  */
@@ -81,7 +82,7 @@ class SlotGate
 TEST(Admission, PerClassBoundRejectsBeyondDepth)
 {
     ServiceConfig config;
-    config.maxConcurrency = 1;
+    config.fleet.slotsPerCore = 1;
     config.maxQueueDepth = 64;
     config.admission.classes[static_cast<std::size_t>(
                                  AdmissionClass::Batch)]
@@ -133,7 +134,7 @@ TEST(Admission, PerClassBoundRejectsBeyondDepth)
 TEST(Admission, ShedsBatchBeforeRealtimeAtFullQueue)
 {
     ServiceConfig config;
-    config.maxConcurrency = 1;
+    config.fleet.slotsPerCore = 1;
     config.maxQueueDepth = 2;
     SolverService service(config);
     const SessionId head = service.openSession(deviceConfig());
@@ -198,7 +199,7 @@ TEST(Admission, RetryHintGrowsWithClassBacklog)
     const QpProblem qp = generateProblem(Domain::Control, 12, 7);
     auto rejectedHintAtBacklog = [&qp](std::size_t bound) {
         ServiceConfig config;
-        config.maxConcurrency = 1;
+        config.fleet.slotsPerCore = 1;
         config.retryAfterFloorSeconds = 1e-12;
         config.admission.classes[static_cast<std::size_t>(
                                      AdmissionClass::Batch)]
@@ -232,7 +233,7 @@ TEST(Admission, LowerClassHintNeverSmallerAtEqualBacklog)
     // class at the same backlog: Batch's hint must dominate
     // Realtime's, because its weighted share of the drain is smaller.
     ServiceConfig config;
-    config.maxConcurrency = 1;
+    config.fleet.slotsPerCore = 1;
     config.retryAfterFloorSeconds = 1e-12;
     config.admission.classes[static_cast<std::size_t>(
                                  AdmissionClass::Batch)]
@@ -272,7 +273,7 @@ TEST(Admission, WeightedDrainRunsRealtimeBeforeBatch)
     // the same core; when the slot frees, smooth WRR must dispatch
     // the Realtime one first even though Batch arrived earlier.
     ServiceConfig config;
-    config.maxConcurrency = 1;
+    config.fleet.slotsPerCore = 1;
     SolverService service(config);
     const SessionId head = service.openSession(deviceConfig());
     const SessionId batch = service.openSession(deviceConfig());
@@ -309,7 +310,7 @@ TEST(Admission, WeightedDrainRunsRealtimeBeforeBatch)
 TEST(Admission, PerClassSeriesExposedInMetricsText)
 {
     ServiceConfig config;
-    config.maxConcurrency = 1;
+    config.fleet.slotsPerCore = 1;
     SolverService service(config);
     const SessionId id = service.openSession(deviceConfig());
     const QpProblem qp = generateProblem(Domain::Control, 12, 13);
@@ -332,6 +333,49 @@ TEST(Admission, PerClassSeriesExposedInMetricsText)
     EXPECT_NE(text.find("rsqp_service_class_queue_depth{"
                         "class=\"interactive\"}"),
               std::string::npos);
+}
+
+TEST(Admission, RejectsOptionsOutsideTheirDomain)
+{
+    // A class outside the enum must not index the per-class state,
+    // and a deadline that is negative or not finite must not pass as
+    // "unlimited": each resolves Rejected with a diagnostic before
+    // admission, and the service keeps serving valid requests.
+    SolverService service;
+    const SessionId id = service.openSession(deviceConfig());
+    const QpProblem qp = generateProblem(Domain::Control, 12, 21);
+
+    std::vector<SubmitOptions> bad(6);
+    bad[0].admissionClass = static_cast<AdmissionClass>(3);
+    bad[1].admissionClass = static_cast<AdmissionClass>(-1);
+    bad[2].deadlineSeconds = -1.0;
+    bad[3].deadlineSeconds = std::numeric_limits<Real>::quiet_NaN();
+    bad[4].deadlineSeconds = std::numeric_limits<Real>::infinity();
+    bad[5].deadlineSeconds = -std::numeric_limits<Real>::infinity();
+    for (const SubmitOptions& options : bad) {
+        int calls = 0;
+        const RequestToken token = service.submitAsync(
+            id, qp, options, [&](SessionResult result) {
+                ++calls;
+                EXPECT_EQ(result.status, SolveStatus::Rejected);
+                EXPECT_TRUE(
+                    result.validation.has(ValidationCode::InvalidSetting));
+                EXPECT_EQ(result.retryAfterSeconds, 0.0);
+            });
+        EXPECT_EQ(calls, 1);  // resolved before submitAsync returned
+        EXPECT_FALSE(token.valid());
+    }
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.submitted, 6);
+    EXPECT_EQ(stats.rejected, 6);
+    EXPECT_EQ(stats.queueDepth, 0u);
+    for (std::size_t c = 0; c < kAdmissionClassCount; ++c)
+        EXPECT_EQ(stats.perClass[c].submitted, 0);
+
+    EXPECT_EQ(service.solve(id, qp, classOptions(AdmissionClass::Realtime))
+                  .status,
+              SolveStatus::Solved);
 }
 
 TEST(AsyncSubmit, CallbackRunsExactlyOnceOffTheServiceLock)
@@ -376,7 +420,7 @@ TEST(AsyncSubmit, ImmediateRejectionInvokesCallbackOffLock)
 TEST(AsyncSubmit, CancelBeforeLaunchResolvesExactlyOnce)
 {
     ServiceConfig config;
-    config.maxConcurrency = 1;
+    config.fleet.slotsPerCore = 1;
     SolverService service(config);
     const SessionId head = service.openSession(deviceConfig());
     const SessionId id = service.openSession(deviceConfig());
@@ -464,7 +508,7 @@ TEST(AsyncSubmit, ConcurrentSubmitCancelDrainNeverLosesACallback)
     constexpr int kThreads = 3;
     constexpr int kJobsPerThread = 12;
     ServiceConfig config;
-    config.maxConcurrency = 2;
+    config.fleet.slotsPerCore = 2;
     config.maxQueueDepth = 8;
     SolverService service(config);
     std::vector<SessionId> sessions;

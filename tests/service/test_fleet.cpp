@@ -63,8 +63,8 @@ TEST(Placement, PreferredCoreIsPureFunctionOfFingerprint)
                   PlacementScheduler::preferredCore(fpB, cores));
     }
 
-    PlacementScheduler first(PlacementPolicy::Affinity, 4, 4);
-    PlacementScheduler second(PlacementPolicy::Affinity, 4, 4);
+    PlacementScheduler first(4, 4);
+    PlacementScheduler second(4, 4);
     EXPECT_EQ(first.place(fpA, idleLoads(4)),
               second.place(fpB, idleLoads(4)));
 }
@@ -89,7 +89,7 @@ TEST(Placement, AffinityHonorsPreferredUpToQueueBound)
     const std::size_t preferred =
         PlacementScheduler::preferredCore(fp, 4);
 
-    PlacementScheduler scheduler(PlacementPolicy::Affinity, 4, 2);
+    PlacementScheduler scheduler(4, 2);
     std::vector<CoreLoad> loads = idleLoads(4);
     loads[preferred].queuedSessions = 2;  // == bound: still preferred
     EXPECT_EQ(scheduler.place(fp, loads), preferred);
@@ -102,7 +102,7 @@ TEST(Placement, AffinityFallsBackToLeastLoadedPastBound)
     const std::size_t preferred =
         PlacementScheduler::preferredCore(fp, 4);
 
-    PlacementScheduler scheduler(PlacementPolicy::Affinity, 4, 2);
+    PlacementScheduler scheduler(4, 2);
     std::vector<CoreLoad> loads = idleLoads(4);
     loads[preferred].queuedSessions = 3;  // > bound: spill
     for (std::size_t core = 0; core < 4; ++core)
@@ -119,7 +119,7 @@ TEST(Placement, NonCacheableFingerprintHasNoAffinity)
         fingerprintStructure(generateProblem(Domain::Huber, 30, 3));
     fp.cacheable = false;
 
-    PlacementScheduler scheduler(PlacementPolicy::Affinity, 4, 4);
+    PlacementScheduler scheduler(4, 4);
     std::vector<CoreLoad> loads = idleLoads(4);
     loads[0].queuedSessions = 1;
     loads[1].queuedSessions = 1;
@@ -129,9 +129,12 @@ TEST(Placement, NonCacheableFingerprintHasNoAffinity)
 
 TEST(Placement, LeastLoadedCountsRunningStreamsAndBreaksTiesLow)
 {
-    PlacementScheduler scheduler(PlacementPolicy::LeastLoaded, 3, 4);
-    const StructureFingerprint fp =
+    // The affinity spill (here: a fingerprint with no artifact to be
+    // hot) picks by queued + running load, lowest index on ties.
+    PlacementScheduler scheduler(3, 4);
+    StructureFingerprint fp =
         fingerprintStructure(generateProblem(Domain::Svm, 25, 1));
+    fp.cacheable = false;
 
     std::vector<CoreLoad> loads = idleLoads(3);
     loads[0].queuedSessions = 1;
@@ -142,34 +145,20 @@ TEST(Placement, LeastLoadedCountsRunningStreamsAndBreaksTiesLow)
     EXPECT_EQ(scheduler.place(fp, loads), 0u);
 }
 
-TEST(Placement, RoundRobinCyclesIgnoringLoad)
-{
-    PlacementScheduler scheduler(PlacementPolicy::RoundRobin, 3, 4);
-    const StructureFingerprint fp =
-        fingerprintStructure(generateProblem(Domain::Eqqp, 25, 1));
-    std::vector<CoreLoad> loads = idleLoads(3);
-    loads[1].queuedSessions = 99;  // round-robin does not care
-    EXPECT_EQ(scheduler.place(fp, loads), 0u);
-    EXPECT_EQ(scheduler.place(fp, loads), 1u);
-    EXPECT_EQ(scheduler.place(fp, loads), 2u);
-    EXPECT_EQ(scheduler.place(fp, loads), 0u);
-}
-
 TEST(Placement, SingleCoreAlwaysPlacesZero)
 {
-    PlacementScheduler scheduler(PlacementPolicy::Affinity, 1, 4);
+    PlacementScheduler scheduler(1, 4);
     const StructureFingerprint fp =
         fingerprintStructure(generateProblem(Domain::Control, 25, 9));
     EXPECT_EQ(scheduler.place(fp, idleLoads(1)), 0u);
 }
 
 ServiceConfig
-fleetConfig(unsigned cores, PlacementPolicy policy)
+fleetConfig(unsigned cores)
 {
     ServiceConfig config;
     config.maxQueueDepth = 1024;
     config.fleet.coreCount = cores;
-    config.fleet.policy = policy;
     return config;
 }
 
@@ -202,8 +191,7 @@ TEST(Fleet, SameStructureLandsOnOneCore)
         workload.push_back(withScaledCost(qp, 1.0 + 0.1 * i));
 
     const std::vector<Count> jobs =
-        jobDistribution(fleetConfig(4, PlacementPolicy::Affinity),
-                        workload);
+        jobDistribution(fleetConfig(4), workload);
     Count total = 0;
     Count busiest = 0;
     for (Count count : jobs) {
@@ -223,15 +211,14 @@ TEST(Fleet, PlacementIsDeterministicAcrossRestarts)
     for (Domain domain : allDomains())
         workload.push_back(generateProblem(domain, 25, 7));
 
-    const ServiceConfig config =
-        fleetConfig(4, PlacementPolicy::Affinity);
+    const ServiceConfig config = fleetConfig(4);
     EXPECT_EQ(jobDistribution(config, workload),
               jobDistribution(config, workload));
 }
 
 TEST(Fleet, CachePartitionHitsOnTheAffinityCore)
 {
-    SolverService service(fleetConfig(4, PlacementPolicy::Affinity));
+    SolverService service(fleetConfig(4));
     const QpProblem qp = generateProblem(Domain::Lasso, 25, 11);
 
     const SessionId first = service.openSession(deviceConfig());
@@ -256,23 +243,9 @@ TEST(Fleet, CachePartitionHitsOnTheAffinityCore)
     EXPECT_EQ(coresWithTraffic, 1);
 }
 
-TEST(Fleet, RoundRobinSpreadsDistinctSessions)
-{
-    const QpProblem qp = generateProblem(Domain::Portfolio, 25, 5);
-    std::vector<QpProblem> workload;
-    for (int i = 0; i < 8; ++i)
-        workload.push_back(withScaledCost(qp, 1.0 + 0.05 * i));
-
-    const std::vector<Count> jobs =
-        jobDistribution(fleetConfig(4, PlacementPolicy::RoundRobin),
-                        workload);
-    for (Count count : jobs)
-        EXPECT_EQ(count, 2);
-}
-
 TEST(Fleet, SmallJobsFuseIntoInterleavedStreams)
 {
-    ServiceConfig config = fleetConfig(2, PlacementPolicy::RoundRobin);
+    ServiceConfig config = fleetConfig(2);
     config.fleet.interleaveWidth = 4;
     config.fleet.smallJobThreshold = 4096;  // everything is small
     SolverService service(config);
@@ -311,8 +284,7 @@ TEST(Fleet, ResultsAreBitwiseIdenticalAcrossCoreCounts)
         workload.push_back(generateProblem(domain, 25, 17));
 
     auto run = [&](unsigned cores) {
-        SolverService service(
-            fleetConfig(cores, PlacementPolicy::Affinity));
+        SolverService service(fleetConfig(cores));
         std::vector<SessionResult> results;
         for (const QpProblem& qp : workload) {
             const SessionId id = service.openSession(deviceConfig());
@@ -334,7 +306,7 @@ TEST(Fleet, ResultsAreBitwiseIdenticalAcrossCoreCounts)
 
 TEST(Fleet, MetricsExposePerCoreSeries)
 {
-    SolverService service(fleetConfig(4, PlacementPolicy::Affinity));
+    SolverService service(fleetConfig(4));
     const SessionId id = service.openSession(deviceConfig());
     ASSERT_EQ(service
                   .solve(id, generateProblem(Domain::Control, 25, 19))
@@ -389,7 +361,7 @@ TEST(Fleet, SingleCoreDefaultMatchesLegacyService)
 
 TEST(Fleet, ClosingSessionWithQueuedWorkLeavesFleetConsistent)
 {
-    ServiceConfig config = fleetConfig(2, PlacementPolicy::Affinity);
+    ServiceConfig config = fleetConfig(2);
     config.fleet.slotsPerCore = 1;
     SolverService service(config);
     const QpProblem qp = generateProblem(Domain::Control, 30, 29);
@@ -423,7 +395,7 @@ TEST(Fleet, ConcurrentMixedStructureSubmitsStayConsistent)
     // TSan target: four client threads race submits across a 4-core
     // fleet; every admitted request must resolve and the books must
     // balance.
-    ServiceConfig config = fleetConfig(4, PlacementPolicy::Affinity);
+    ServiceConfig config = fleetConfig(4);
     config.fleet.interleaveWidth = 2;
     config.fleet.smallJobThreshold = 4096;
     SolverService service(config);

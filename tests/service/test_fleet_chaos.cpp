@@ -49,7 +49,6 @@ chaosConfig(unsigned cores, std::vector<FleetFaultEvent> schedule)
     ServiceConfig config;
     config.maxQueueDepth = 1024;
     config.fleet.coreCount = cores;
-    config.fleet.policy = PlacementPolicy::Affinity;
     // Virtual device times per job are tiny; shrink the backoff
     // ladder to match so readmission happens within a test workload.
     config.fleet.faultDomain.backoffBaseSeconds = 1e-9;
@@ -166,8 +165,8 @@ TEST(Failover, RespillIsDeterministicAndAvoidsFencedCore)
         if (core != preferred)
             survivors.push_back(core);
 
-    PlacementScheduler first(PlacementPolicy::Affinity, 4, 4);
-    PlacementScheduler second(PlacementPolicy::Affinity, 4, 4);
+    PlacementScheduler first(4, 4);
+    PlacementScheduler second(4, 4);
     const std::size_t respill = first.place(fp, loads);
     EXPECT_NE(respill, preferred);
     EXPECT_EQ(respill, second.place(fp, loads));

@@ -66,7 +66,7 @@ TEST(ServiceQueue, OverflowYieldsRejectedNotBlocking)
 {
     ServiceConfig config;
     config.maxQueueDepth = 2;
-    config.maxConcurrency = 1;
+    config.fleet.slotsPerCore = 1;
     SolverService service(config);
     const SessionId id = service.openSession(deviceConfig());
     const QpProblem qp = generateProblem(Domain::Huber, 25, 7);
@@ -98,7 +98,7 @@ TEST(ServiceQueue, OverflowYieldsRejectedNotBlocking)
 TEST(ServiceQueue, QueuedDeadlineExpiresToTimeLimit)
 {
     ServiceConfig config;
-    config.maxConcurrency = 1;
+    config.fleet.slotsPerCore = 1;
     SolverService service(config);
     const SessionId id = service.openSession(deviceConfig());
     const QpProblem qp = generateProblem(Domain::Portfolio, 30, 9);
@@ -130,7 +130,7 @@ TEST(ServiceQueue, QueuedDeadlineExpiresToTimeLimit)
 TEST(ServiceQueue, CloseSessionRejectsQueuedWork)
 {
     ServiceConfig config;
-    config.maxConcurrency = 1;
+    config.fleet.slotsPerCore = 1;
     SolverService service(config);
     const SessionId keep = service.openSession(deviceConfig());
     const SessionId close = service.openSession(deviceConfig());

@@ -10,9 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/kkt.hpp"
-#include "linalg/vector_ops.hpp"
-#include "solvers/kkt_solver.hpp"
 #include "solvers/ldl.hpp"
 #include "solvers/ordering.hpp"
 #include "tests/test_util.hpp"
@@ -111,80 +108,6 @@ TEST(Rcm, ReducesLdlFill)
     LdlFactorization rcm_ldl(permuted);
     EXPECT_LT(rcm_ldl.lnnz(), natural_ldl.lnnz());
     EXPECT_EQ(rcm_ldl.lnnz(), n - 1);  // hub last: only its column fills
-}
-
-TEST(Ordering, NaturalIsIdentity)
-{
-    Rng rng(3);
-    const CscMatrix upper = test::randomSpdUpper(9, 0.3, rng);
-    const IndexVector perm =
-        computeOrdering(upper, OrderingKind::Natural);
-    for (Index i = 0; i < 9; ++i)
-        EXPECT_EQ(perm[static_cast<std::size_t>(i)], i);
-}
-
-
-TEST(MinDegree, ReturnsValidPermutation)
-{
-    Rng rng(7);
-    const CscMatrix upper = test::randomSpdUpper(25, 0.2, rng);
-    IndexVector perm = minimumDegree(upper);
-    ASSERT_EQ(perm.size(), 25u);
-    std::sort(perm.begin(), perm.end());
-    for (Index i = 0; i < 25; ++i)
-        EXPECT_EQ(perm[static_cast<std::size_t>(i)], i);
-}
-
-TEST(MinDegree, ArrowMatrixHubLast)
-{
-    // Dense first row/column: minimum degree defers the hub to the
-    // end, giving the minimal n-1 fill.
-    const Index n = 25;
-    TripletList triplets(n, n);
-    for (Index i = 0; i < n; ++i)
-        triplets.add(i, i, 10.0);
-    for (Index j = 1; j < n; ++j)
-        triplets.add(0, j, 1.0);
-    const CscMatrix upper = CscMatrix::fromTriplets(triplets);
-    const IndexVector perm = minimumDegree(upper);
-    // The hub is deferred until its degree ties the last leaves, so
-    // it lands in one of the final two positions.
-    EXPECT_TRUE(perm.back() == 0 || perm[perm.size() - 2] == 0);
-
-    const CscMatrix permuted = upper.symUpperPermute(perm);
-    LdlFactorization ldl(permuted);
-    EXPECT_EQ(ldl.lnnz(), n - 1);
-}
-
-TEST(MinDegree, NoWorseFillThanNaturalOnKkt)
-{
-    Rng rng(11);
-    const CscMatrix p = test::randomSpdUpper(30, 0.1, rng);
-    const CscMatrix a = test::randomSparse(15, 30, 0.1, rng);
-    KktAssembler assembler(p, a, 1e-6, constantVector(15, 0.5));
-    const CscMatrix& kkt = assembler.kkt();
-
-    LdlFactorization natural(kkt);
-    const IndexVector perm = minimumDegree(kkt);
-    LdlFactorization ordered(kkt.symUpperPermute(perm));
-    EXPECT_LE(ordered.lnnz(), natural.lnnz());
-}
-
-TEST(MinDegree, FactorizationStillCorrect)
-{
-    Rng rng(13);
-    const CscMatrix p = test::randomSpdUpper(20, 0.2, rng);
-    const CscMatrix a = test::randomSparse(10, 20, 0.25, rng);
-    DirectKktSolver solver(p, a, 1e-6, constantVector(10, 0.3),
-                           OrderingKind::MinDegree);
-    DirectKktSolver reference(p, a, 1e-6, constantVector(10, 0.3),
-                              OrderingKind::Natural);
-    const Vector rhs_x = test::randomVector(20, rng);
-    const Vector rhs_z = test::randomVector(10, rng);
-    Vector x1, z1, x2, z2;
-    solver.solve(rhs_x, rhs_z, x1, z1);
-    reference.solve(rhs_x, rhs_z, x2, z2);
-    EXPECT_LT(test::maxAbsDiff(x1, x2), 1e-9);
 }
 
 } // namespace

@@ -95,7 +95,7 @@ TEST(ServiceMetrics, ScrapeMatchesServiceStats)
 TEST(ServiceMetrics, ConcurrentScrapesStayConsistent)
 {
     ServiceConfig config;
-    config.maxConcurrency = 2;
+    config.fleet.slotsPerCore = 2;
     SolverService service(config);
     const SessionId id = service.openSession(smallConfig());
     const QpProblem qp = generateProblem(Domain::Huber, 25, 7);
@@ -172,14 +172,15 @@ TEST(ServiceMetrics, SessionResultCarriesTelemetry)
 
 TEST(ServiceMetrics, DumpTraceDrainsSpans)
 {
-    ServiceConfig config;
-    config.tracing = true;
-    SolverService service(config);
+    // Service solves record into the process-wide trace recorder.
+    telemetry::TraceRecorder::global().enable();
+    SolverService service;
     const SessionId id = service.openSession(smallConfig());
     const QpProblem qp = generateProblem(Domain::Lasso, 20, 5);
     EXPECT_EQ(service.solve(id, qp).status, SolveStatus::Solved);
 
-    const std::string trace = service.dumpTrace();
+    const std::string trace =
+        telemetry::TraceRecorder::global().drainJson();
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
     if (telemetry::kTelemetryCompiled) {
         EXPECT_NE(trace.find("service.run_job"), std::string::npos);
