@@ -234,7 +234,8 @@ main(int argc, char** argv)
     const telemetry::MetricsSnapshot snapshot =
         telemetry::MetricsRegistry::global().snapshot();
     const std::uint64_t admm_solves =
-        snapshot.counterValue("rsqp_admm_solves_total");
+        snapshot.counterValue(telemetry::labeledName(
+            "rsqp_solves_total", "engine", "admm"));
     const std::uint64_t expected_solves =
         1 + 2 * kTries * static_cast<std::uint64_t>(options.reps);
     if (admm_solves != expected_solves) {

@@ -5,10 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "backends/backend_metrics.hpp"
-#include "common/logging.hpp"
 #include "common/timer.hpp"
-#include "linalg/simd_kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "osqp/residuals.hpp"
 #include "telemetry/trace.hpp"
@@ -79,8 +76,7 @@ PdhgSolver::PdhgSolver(QpProblem problem, OsqpSettings settings)
 {
     Timer setup_timer;
     if (!qp_.ok()) {
-        lastInfo_.status = SolveStatus::InvalidProblem;
-        lastInfo_.setupTime = setup_timer.seconds();
+        setupSeconds_ = setup_timer.seconds();
         return;
     }
 
@@ -98,7 +94,7 @@ PdhgSolver::PdhgSolver(QpProblem problem, OsqpSettings settings)
 
     x_.assign(static_cast<std::size_t>(n_), 0.0);
     y_.assign(static_cast<std::size_t>(m_), 0.0);
-    lastInfo_.setupTime = setup_timer.seconds();
+    setupSeconds_ = setup_timer.seconds();
 }
 
 void
@@ -220,43 +216,23 @@ OsqpResult
 PdhgSolver::solve()
 {
     TELEMETRY_SPAN("pdhg.solve");
-    Timer solve_timer;
+    if (!qp_.ok())
+        return invalidProblemResult(qp_.validation(), setupSeconds_);
 
+    const QpProblem& original = qp_.original();
+    const QpProblem& scaled = qp_.scaled();
     OsqpResult result;
     OsqpInfo& info = result.info;
-    info = lastInfo_;
-    info.status = SolveStatus::MaxIterReached;
-    info.iterations = 0;
-    info.rhoUpdates = 0;
-    info.pcgIterationsTotal = 0;
-    info.hotPath = HotPathProfile{};
-    info.recovery = RecoveryReport{};
-    info.telemetry = SolveTelemetry{};
+    SolveShell shell(SolveEngine::Pdhg, settings_, original,
+                     faultInjector_.get(), setupSeconds_, info, x_, y_,
+                     nullptr);
 
-    if (!qp_.ok()) {
-        result.validation = qp_.validation();
-        info.status = SolveStatus::InvalidProblem;
-        info.solveTime = solve_timer.seconds();
-        lastInfo_ = info;
-        return result;
-    }
-
-    // Soft-error source for the operator stream (tests/bench only);
-    // each solve sees a fresh deterministic fault pattern.
-    FaultScope fault_scope(faultInjector_.get());
-    if (faultInjector_ != nullptr)
-        faultInjector_->advanceEpoch();
+    // Soft-error hook on the operator stream (tests/bench only): one
+    // nonce per solve keeps a word position from being
+    // deterministically faulty on every application of the operator.
     FaultInjector* injector = activeFaultInjector();
     const std::uint64_t call_offset =
         injector != nullptr ? injector->acquireNonce() << 20 : 0;
-    const Count faults_before = faultInjector_ != nullptr
-                                    ? faultInjector_->faultsInjected()
-                                    : 0;
-
-    const FaultToleranceSettings& ft = settings_.faultTolerance;
-    DivergenceWatchdog watchdog(ft);
-    IterateCheckpoint checkpoint;
-    Index recovery_attempts = 0;
     Count restarts = 0;
 
     // Scratch (sized once; the loop itself allocates nothing).
@@ -271,8 +247,6 @@ PdhgSolver::solve()
     Vector ax_u(static_cast<std::size_t>(m_));
     Vector delta_x(static_cast<std::size_t>(n_));
     Vector delta_y(static_cast<std::size_t>(m_));
-    const QpProblem& original = qp_.original();
-    const QpProblem& scaled = qp_.scaled();
 
     // Epoch state: running average since the last restart, the
     // restart anchor, and the merit recorded at the restart point.
@@ -290,9 +264,13 @@ PdhgSolver::solve()
     Vector x_u_prev, y_u_prev;
     bool have_prev_check = false;
 
+    // Unscaled iterate with z = Pi_[l,u](A x), the auxiliary variable
+    // this engine drives A x toward.
     const auto unscale_iterates = [&]() {
         qp_.unscaleX(x_, x_u);
         qp_.unscaleY(y_, y_u);
+        original.a.spmv(x_u, ax_u);
+        ewClamp(ax_u, original.l, original.u, z_u);
     };
 
     const auto reset_epoch = [&]() {
@@ -303,67 +281,30 @@ PdhgSolver::solve()
         epoch_len = 0;
     };
 
-    const auto roll_back = [&]() {
-        Vector z_dummy;
-        if (checkpoint.valid()) {
-            checkpoint.restore(x_, y_, z_dummy);
-        } else {
-            x_.assign(static_cast<std::size_t>(n_), 0.0);
-            y_.assign(static_cast<std::size_t>(m_), 0.0);
-        }
-    };
-
-    // One checkpoint-restore + step-size-backoff recovery attempt:
-    // the PDHG analog of the ADMM sigma boost is halving both steps
-    // (their product condition keeps holding with extra slack).
-    const auto try_recover = [&](Index iter, const char* trigger) {
-        if (!ft.watchdog || recovery_attempts >= ft.maxRecoveryAttempts)
-            return false;
-        ++recovery_attempts;
-        roll_back();
+    // Recovery reaction, the PDHG analog of the ADMM sigma boost:
+    // halve both steps (their product condition keeps holding with
+    // extra slack) and start a fresh epoch from the rolled-back point.
+    const SolveShell::Reaction back_off_steps = [&]() {
         tau_ *= 0.5;
         sigma_ *= 0.5;
         reset_epoch();
         restart_merit = kInf;
         have_prev_check = false;
-        watchdog.reset();
-        info.recovery.record(RecoveryAction::CheckpointRestore, iter,
-                             std::string(trigger) +
-                                 "; rolled back to " +
-                                 (checkpoint.valid()
-                                      ? "iteration " +
-                                            std::to_string(
-                                                checkpoint.iteration())
-                                      : std::string("a cold start")));
-        ++info.recovery.checkpointRestores;
-        info.recovery.record(RecoveryAction::SigmaBoost, iter,
-                             "step backoff: tau = " +
-                                 std::to_string(tau_) + ", sigma = " +
-                                 std::to_string(sigma_));
-        ++info.recovery.sigmaBoosts;
-        RSQP_WARN("pdhg recovery at iteration ", iter, ": ", trigger,
-                  "; steps halved to tau=", tau_, " sigma=", sigma_);
-        return true;
+        return "step backoff: tau = " + std::to_string(tau_) +
+            ", sigma = " + std::to_string(sigma_);
     };
 
     for (Index iter = 1; iter <= settings_.maxIter; ++iter) {
         TELEMETRY_SPAN("pdhg.iter");
-        if (settings_.timeLimit > 0.0 &&
-            solve_timer.seconds() >= settings_.timeLimit) {
-            info.status = SolveStatus::TimeLimitReached;
+        if (shell.timeUp())
             break;
-        }
 
         // Primal step: x+ = x - tau (P x + q + A' y).
         pCsr_.spmv(x_, px);
         atCsr_.spmv(y_, aty);
-        if (injector != nullptr) {
-            // Same hook shape as the PCG operator stream: a per-call
-            // offset keeps a word position from being deterministically
-            // faulty on every application of the operator.
+        if (injector != nullptr)
             injector->corruptVector(px, fault_streams::kPdhgOperator +
                                             call_offset + iter);
-        }
         const Real tau = tau_;
         for (Index j = 0; j < n_; ++j) {
             const auto s = static_cast<std::size_t>(j);
@@ -402,50 +343,22 @@ PdhgSolver::solve()
         if (!check_now)
             continue;
 
-        if (hasNonFinite(x_) || hasNonFinite(y_)) {
-            if (try_recover(iter, "non-finite iterates"))
-                continue;
-            roll_back();
-            info.status = SolveStatus::NumericalError;
-            break;
-        }
-
-        // Unscaled residuals at the current iterate, with
-        // z = Pi_[l,u](A x) as the auxiliary variable.
         unscale_iterates();
-        original.a.spmv(x_u, ax_u);
-        ewClamp(ax_u, original.l, original.u, z_u);
         const ResidualInfo res =
             computeResiduals(original, x_u, y_u, z_u, settings_.epsAbs,
                              settings_.epsRel);
-        info.primRes = res.primRes;
-        info.dualRes = res.dualRes;
-        info.telemetry.pushResidual(iter, res.primRes, res.dualRes);
 
-        if (ft.watchdog) {
-            const DivergenceWatchdog::Verdict verdict =
-                watchdog.observe(res.primRes, res.dualRes);
-            if (verdict == DivergenceWatchdog::Verdict::Diverged) {
-                if (try_recover(iter, "residual divergence"))
-                    continue;
-                roll_back();
-                info.status = SolveStatus::NumericalError;
-                break;
-            }
-            if (verdict == DivergenceWatchdog::Verdict::Stalled) {
-                if (try_recover(iter, "residual stall"))
-                    continue;
-            } else {
-                Vector z_dummy;
-                checkpoint.capture(x_, y_, z_dummy, iter);
-            }
-        }
-
-        if (res.converged()) {
-            info.status = SolveStatus::Solved;
+        const SolveShell::Step step =
+            shell.check(iter, res, back_off_steps);
+        if (step == SolveShell::Step::Retry)
+            continue;
+        if (step == SolveShell::Step::Stop)
             break;
-        }
 
+        if (shell.converged(res))
+            break;
+
+        // Infeasibility certificates from consecutive checks.
         if (have_prev_check) {
             for (Index j = 0; j < n_; ++j) {
                 const auto s = static_cast<std::size_t>(j);
@@ -455,16 +368,8 @@ PdhgSolver::solve()
                 const auto s = static_cast<std::size_t>(i);
                 delta_y[s] = y_u[s] - y_u_prev[s];
             }
-            if (certifiesPrimalInfeasibility(original, delta_y,
-                                             settings_.epsPrimInf)) {
-                info.status = SolveStatus::PrimalInfeasible;
+            if (shell.certifiesInfeasibility(delta_x, delta_y))
                 break;
-            }
-            if (certifiesDualInfeasibility(original, delta_x,
-                                           settings_.epsDualInf)) {
-                info.status = SolveStatus::DualInfeasible;
-                break;
-            }
         }
         x_u_prev = x_u;
         y_u_prev = y_u;
@@ -492,6 +397,7 @@ PdhgSolver::solve()
                     const auto s = static_cast<std::size_t>(i);
                     y_[s] = y_sum[s] * inv;
                 }
+                shell.iterateMoved();
             }
 
             // PDLP primal-weight update: move omega toward the
@@ -512,43 +418,15 @@ PdhgSolver::solve()
             ++restarts;
         }
     }
+    shell.guardExit();
 
-    if (hasNonFinite(x_) || hasNonFinite(y_)) {
-        roll_back();
-        if (info.status != SolveStatus::TimeLimitReached)
-            info.status = SolveStatus::NumericalError;
-    }
-
-    // Final unscaled solution (z = Pi_[l,u](A x), the auxiliary
-    // variable this engine drives A x toward).
     unscale_iterates();
     result.x = x_u;
     result.y = y_u;
-    original.a.spmv(x_u, ax_u);
-    ewClamp(ax_u, original.l, original.u, z_u);
     result.z = z_u;
     info.objective = original.objective(result.x);
-
-    info.solveTime = solve_timer.seconds();
-    info.kktSolveTime = 0.0;  // matrix-free: there is no KKT backend
-
-    SolveTelemetry& tele = info.telemetry;
-    tele.backend = backendKindName(BackendKind::Pdhg);
-    tele.restarts = restarts;
-    tele.iterations = info.iterations;
-    tele.kktSolves = 0;
-    tele.pcgIterationsTotal = 0;
-    tele.pcgItersPerSolve = 0.0;
-    tele.isaLevel = isaLevelName(simd::activeIsaLevel());
-    tele.recoveryEvents =
-        static_cast<Count>(info.recovery.events.size());
-    tele.faultsInjected = faultInjector_ != nullptr
-        ? faultInjector_->faultsInjected() - faults_before
-        : 0;
-    tele.solveSeconds = info.solveTime;
-    recordBackendSolve(name(), info);
-
-    lastInfo_ = info;
+    info.telemetry.restarts = restarts;
+    shell.finish(result);
     return result;
 }
 

@@ -26,16 +26,17 @@
  * Everything runs serially on the shared deterministic kernels:
  * CSR-mirror SpMV (SIMD row-gather), fixed-grain chunked reductions
  * and plain element-update loops — results are bitwise-identical at
- * every ISA level. The divergence watchdog, iterate
- * checkpoint and seeded fault injection hook in exactly like the ADMM
- * loop, and solve() returns the standard OsqpResult contract.
+ * every ISA level. The loop runs inside the SolveShell it shares with
+ * the ADMM engine (osqp/recovery.hpp): termination checks,
+ * infeasibility certificates (on consecutive-check deltas here),
+ * watchdog recovery (a step-size backoff here) and the accounting
+ * close, so solve() returns the standard OsqpResult contract.
  *
  * Setup validation, Ruiz scaling, the parametric setters and the
  * scaled <-> unscaled maps are the engine's ScaledQp
- * (osqp/scaling.hpp), and the infeasibility certificates are the free
- * functions of osqp/residuals.hpp, as for the ADMM loop. The engine's
- * own reaction to a matrix update is rebuilding its CSR mirrors,
- * operator-norm bounds and step sizes.
+ * (osqp/scaling.hpp), as for the ADMM loop. The engine's own reaction
+ * to a matrix update is rebuilding its CSR mirrors, operator-norm
+ * bounds and step sizes.
  */
 
 #ifndef RSQP_BACKENDS_PDHG_SOLVER_HPP
@@ -82,17 +83,6 @@ class PdhgSolver final : public QpBackend
     Index numVariables() const override { return n_; }
     Index numConstraints() const override { return m_; }
 
-    // --- introspection for tests/bench --------------------------------
-
-    /** Current primal step size tau. */
-    Real stepTau() const { return tau_; }
-    /** Current dual step size sigma. */
-    Real stepSigma() const { return sigma_; }
-    /** Current primal weight omega. */
-    Real primalWeight() const { return omega_; }
-    /** Power-iteration bound on ||A|| (scaled space). */
-    Real operatorNormBound() const { return etaA_; }
-
   private:
     /** Power-iteration bounds for ||A|| and lambda_max(P). */
     void estimateOperatorNorms();
@@ -127,7 +117,7 @@ class PdhgSolver final : public QpBackend
     // Scaled-space iterates (persist across solves for warm starting).
     Vector x_, y_;
 
-    OsqpInfo lastInfo_;
+    double setupSeconds_ = 0.0;  ///< reported by every solve's info
 };
 
 } // namespace rsqp

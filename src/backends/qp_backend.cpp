@@ -2,9 +2,9 @@
 
 #include <utility>
 
-#include "backends/admm_backend.hpp"
 #include "backends/backend_selector.hpp"
 #include "backends/pdhg_solver.hpp"
+#include "osqp/solver.hpp"
 
 namespace rsqp
 {
@@ -19,8 +19,8 @@ makeBackend(QpProblem problem, OsqpSettings settings)
     if (kind == BackendKind::Pdhg)
         return std::make_unique<PdhgSolver>(std::move(problem),
                                             std::move(settings));
-    return std::make_unique<AdmmBackend>(std::move(problem),
-                                         std::move(settings));
+    return std::make_unique<OsqpSolver>(std::move(problem),
+                                        std::move(settings));
 }
 
 } // namespace rsqp

@@ -2,14 +2,18 @@
  * @file
  * The pluggable first-order backend interface.
  *
- * A QpBackend is "one QP structure, set up once, solved many times" —
- * exactly the OsqpSolver contract the service layer already programs
- * against — with the engine behind it swappable: the classic ADMM loop
- * or the restarted PDHG engine. Both return the same OsqpResult with
- * SolveStatus / OsqpInfo / SolveTelemetry semantics, so callers,
- * telemetry pipelines and bench artifacts never care which method ran.
- * BackendKind::Auto is not an engine: makeBackend() resolves it once,
- * through chooseBackend(), to one of the two.
+ * A QpBackend is "one QP structure, set up once, solved many times",
+ * with the engine behind it swappable: the ADMM loop (OsqpSolver
+ * implements this interface directly) or the restarted PDHG engine.
+ * Both run inside the same SolveShell (osqp/recovery.hpp) and return
+ * the same OsqpResult with SolveStatus / OsqpInfo / SolveTelemetry
+ * semantics, so callers, telemetry pipelines and bench artifacts never
+ * care which method ran. BackendKind::Auto is not an engine:
+ * makeBackend() resolves it once, through chooseBackend(), to one of
+ * the two.
+ *
+ * The interface is header-only, so the osqp library can implement it
+ * without linking the backends library that hosts makeBackend().
  *
  * Like OsqpSolver, construction never throws on caller input: a
  * malformed problem or settings leaves the backend inert and every
@@ -76,9 +80,9 @@ class QpBackend
 };
 
 /**
- * Build the backend selected by settings.firstOrder.method: Admm wraps
- * the OsqpSolver loop, Pdhg builds the restarted primal-dual engine,
- * and Auto builds whichever of the two chooseBackend(problem) picks.
+ * Build the backend selected by settings.firstOrder.method: Admm builds
+ * an OsqpSolver, Pdhg the restarted primal-dual engine, and Auto
+ * whichever of the two chooseBackend(problem) picks.
  */
 std::unique_ptr<QpBackend> makeBackend(QpProblem problem,
                                        OsqpSettings settings);

@@ -1,14 +1,13 @@
 #include "rsqp_solver.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "hwmodel/resources.hpp"
 #include "linalg/vector_ops.hpp"
+#include "osqp/recovery.hpp"
 #include "osqp/residuals.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace rsqp
@@ -244,42 +243,16 @@ RsqpSolver::solve()
     result.eta = custom_.eta();
     result.archName = custom_.config.name();
 
-    // The device engine always runs the ADMM recurrence; the label
-    // keeps device and host telemetry comparable per backend.
-    result.telemetry.backend = "admm";
-    result.telemetry.iterations = result.iterations;
+    // One KKT solve per ADMM iteration; device fault retries are
+    // FaultRetry recovery events.
     result.telemetry.kktSolves = static_cast<Count>(result.iterations);
-    result.telemetry.pcgIterationsTotal = result.pcgIterationsTotal;
-    if (result.iterations > 0)
-        result.telemetry.pcgItersPerSolve =
-            static_cast<Real>(result.pcgIterationsTotal) /
-            static_cast<Real>(result.iterations);
     result.telemetry.pushResidual(result.iterations, result.primRes,
                                   result.dualRes);
-    result.telemetry.recoveryEvents =
-        static_cast<Count>(result.recovery.events.size());
-    result.telemetry.faultsInjected = result.faultsInjected;
-    result.telemetry.solveSeconds = result.deviceSeconds;
-
-    {
-        static telemetry::Counter& solves =
-            telemetry::MetricsRegistry::global().counter(
-                "rsqp_device_solves_total",
-                "Accelerated (simulated-device) solves completed");
-        static telemetry::Counter& iters =
-            telemetry::MetricsRegistry::global().counter(
-                "rsqp_device_iterations_total",
-                "ADMM iterations executed on the simulated device");
-        static telemetry::Counter& retries =
-            telemetry::MetricsRegistry::global().counter(
-                "rsqp_device_fault_retries_total",
-                "Device runs retried after corrupted results");
-        solves.increment();
-        iters.add(static_cast<std::uint64_t>(
-            std::max<Index>(result.iterations, 0)));
-        retries.add(static_cast<std::uint64_t>(
-            std::max<Count>(result.recovery.faultRetries, 0)));
-    }
+    recordSolve(SolveEngine::Device,
+                {result.iterations, result.pcgIterationsTotal,
+                 result.rhoUpdates, result.faultsInjected,
+                 result.deviceSeconds},
+                result.recovery, result.telemetry);
     return result;
 }
 

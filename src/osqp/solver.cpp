@@ -6,11 +6,9 @@
 
 #include "common/logging.hpp"
 #include "common/timer.hpp"
-#include "linalg/simd_kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "osqp/polish.hpp"
 #include "osqp/residuals.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace rsqp
@@ -21,8 +19,7 @@ OsqpSolver::OsqpSolver(QpProblem problem, OsqpSettings settings)
 {
     Timer setup_timer;
     if (!qp_.ok()) {
-        lastInfo_.status = SolveStatus::InvalidProblem;
-        lastInfo_.setupTime = setup_timer.seconds();
+        setupSeconds_ = setup_timer.seconds();
         return;
     }
 
@@ -41,7 +38,7 @@ OsqpSolver::OsqpSolver(QpProblem problem, OsqpSettings settings)
     x_.assign(static_cast<std::size_t>(n_), 0.0);
     y_.assign(static_cast<std::size_t>(m_), 0.0);
     z_.assign(static_cast<std::size_t>(m_), 0.0);
-    lastInfo_.setupTime = setup_timer.seconds();
+    setupSeconds_ = setup_timer.seconds();
 }
 
 OsqpSolver::~OsqpSolver() = default;
@@ -168,27 +165,17 @@ OsqpResult
 OsqpSolver::solve()
 {
     TELEMETRY_SPAN("admm.solve");
-    Timer solve_timer;
-    AccumulatingTimer kkt_timer;
+    if (!qp_.ok())
+        return invalidProblemResult(qp_.validation(), setupSeconds_);
 
+    const QpProblem& original = qp_.original();
+    const QpProblem& scaled = qp_.scaled();
     OsqpResult result;
     OsqpInfo& info = result.info;
-    info = lastInfo_;
-    info.status = SolveStatus::MaxIterReached;
-    info.iterations = 0;
-    info.rhoUpdates = 0;
-    info.pcgIterationsTotal = 0;
-    info.hotPath = HotPathProfile{};
-    info.recovery = RecoveryReport{};
-    info.telemetry = SolveTelemetry{};
-
-    if (!qp_.ok()) {
-        result.validation = qp_.validation();
-        info.status = SolveStatus::InvalidProblem;
-        info.solveTime = solve_timer.seconds();
-        lastInfo_ = info;
-        return result;
-    }
+    SolveShell shell(SolveEngine::Admm, settings_, original,
+                     faultInjector_.get(), setupSeconds_, info, x_, y_,
+                     &z_);
+    AccumulatingTimer kkt_timer;
 
     // A sigma boost from a previous solve's recovery is not sticky.
     if (sigmaEff_ != settings_.sigma) {
@@ -199,19 +186,12 @@ OsqpSolver::solve()
     // info.hotPath reports this solve only.
     kkt_->resetHotPathProfile();
 
-    // Soft-error source for the software PCG path (tests/bench only);
-    // each solve sees a fresh deterministic fault pattern.
-    FaultScope fault_scope(faultInjector_.get());
-    if (faultInjector_ != nullptr)
-        faultInjector_->advanceEpoch();
-
-    const FaultToleranceSettings& ft = settings_.faultTolerance;
-    DivergenceWatchdog watchdog(ft);
-    IterateCheckpoint checkpoint;
-    Index recovery_attempts = 0;
-    const Count faults_before = faultInjector_ != nullptr
-                                    ? faultInjector_->faultsInjected()
-                                    : 0;
+    // Recovery reaction: retry with a boosted sigma regularization.
+    const SolveShell::Reaction boost_sigma = [this]() {
+        sigmaEff_ *= settings_.faultTolerance.sigmaBoost;
+        rebuildKktSolver();
+        return "sigma = " + std::to_string(sigmaEff_);
+    };
 
     Vector rhs_x(static_cast<std::size_t>(n_));
     Vector rhs_z(static_cast<std::size_t>(m_));
@@ -222,57 +202,11 @@ OsqpSolver::solve()
     Vector proj_arg(static_cast<std::size_t>(m_));
 
     const Real alpha = settings_.alpha;
-    const QpProblem& original = qp_.original();
-    const QpProblem& scaled = qp_.scaled();
-
-    // Roll the iterates back to the last-good checkpoint (or a cold
-    // start if none was taken yet).
-    const auto roll_back = [&]() {
-        if (checkpoint.valid()) {
-            checkpoint.restore(x_, y_, z_);
-        } else {
-            x_.assign(static_cast<std::size_t>(n_), 0.0);
-            y_.assign(static_cast<std::size_t>(m_), 0.0);
-            z_.assign(static_cast<std::size_t>(m_), 0.0);
-        }
-    };
-
-    // One checkpoint-restore + sigma-boost recovery attempt. Returns
-    // false when the watchdog is off or the attempt budget is spent —
-    // the caller then terminates with a typed failure.
-    const auto try_recover = [&](Index iter, const char* trigger) {
-        if (!ft.watchdog || recovery_attempts >= ft.maxRecoveryAttempts)
-            return false;
-        ++recovery_attempts;
-        roll_back();
-        sigmaEff_ *= ft.sigmaBoost;
-        rebuildKktSolver();
-        watchdog.reset();
-        info.recovery.record(RecoveryAction::CheckpointRestore, iter,
-                             std::string(trigger) + "; rolled back to " +
-                                 (checkpoint.valid()
-                                      ? "iteration " +
-                                            std::to_string(
-                                                checkpoint.iteration())
-                                      : std::string("a cold start")));
-        ++info.recovery.checkpointRestores;
-        info.recovery.record(RecoveryAction::SigmaBoost, iter,
-                             "sigma = " + std::to_string(sigmaEff_));
-        ++info.recovery.sigmaBoosts;
-        RSQP_WARN("admm recovery at iteration ", iter, ": ", trigger,
-                  "; sigma boosted to ", sigmaEff_);
-        return true;
-    };
 
     for (Index iter = 1; iter <= settings_.maxIter; ++iter) {
         TELEMETRY_SPAN("admm.iter");
-        // A wall-clock budget turns a hung or flailing solve into a
-        // typed result instead of an unbounded stall.
-        if (settings_.timeLimit > 0.0 &&
-            solve_timer.seconds() >= settings_.timeLimit) {
-            info.status = SolveStatus::TimeLimitReached;
+        if (shell.timeUp())
             break;
-        }
 
         x_prev = x_;
         y_prev = y_;
@@ -317,6 +251,8 @@ OsqpSolver::solve()
 
         info.iterations = iter;
 
+        // Iterates are checked on every check and rho-adaptation
+        // iteration; termination is tested on checks only.
         const bool check_now = (iter % settings_.checkInterval == 0) ||
             iter == settings_.maxIter;
         const bool adapt_now = settings_.adaptiveRho &&
@@ -325,80 +261,35 @@ OsqpSolver::solve()
         if (!check_now && !adapt_now)
             continue;
 
-        if (hasNonFinite(x_) || hasNonFinite(y_) || hasNonFinite(z_)) {
-            if (try_recover(iter, "non-finite iterates"))
-                continue;
-            roll_back();  // never hand back a poisoned iterate
-            info.status = SolveStatus::NumericalError;
-            break;
-        }
-
         // Unscale the iterates for residuals and certificates.
         Vector x_u, y_u, z_u;
         qp_.unscaleX(x_, x_u);
         qp_.unscaleY(y_, y_u);
         qp_.unscaleZ(z_, z_u);
-
         const ResidualInfo res = computeResiduals(
             original, x_u, y_u, z_u, settings_.epsAbs, settings_.epsRel);
-        const Real prim_res = res.primRes;
-        const Real dual_res = res.dualRes;
-        info.primRes = prim_res;
-        info.dualRes = dual_res;
-        info.telemetry.pushResidual(iter, prim_res, dual_res);
 
-        if (ft.watchdog) {
-            const DivergenceWatchdog::Verdict verdict =
-                watchdog.observe(prim_res, dual_res);
-            if (verdict == DivergenceWatchdog::Verdict::Diverged) {
-                if (try_recover(iter, "residual divergence"))
-                    continue;
-                roll_back();
-                info.status = SolveStatus::NumericalError;
-                break;
-            }
-            if (verdict == DivergenceWatchdog::Verdict::Stalled) {
-                // One recovery shot; out of attempts the solve just
-                // runs to its iteration budget.
-                if (try_recover(iter, "residual stall"))
-                    continue;
-            } else {
-                checkpoint.capture(x_, y_, z_, iter);
-            }
-        }
+        const SolveShell::Step step = shell.check(iter, res, boost_sigma);
+        if (step == SolveShell::Step::Retry)
+            continue;
+        if (step == SolveShell::Step::Stop)
+            break;
 
         if (check_now) {
-            if (res.converged()) {
-                info.status = SolveStatus::Solved;
+            if (shell.converged(res))
                 break;
-            }
-            // Infeasibility certificates from the iterate deltas.
+            // Infeasibility certificates from consecutive iterates.
             qp_.unscaleDeltaX(x_, x_prev, delta_x);
             qp_.unscaleDeltaY(y_, y_prev, delta_y);
-            if (certifiesPrimalInfeasibility(original, delta_y,
-                                             settings_.epsPrimInf)) {
-                info.status = SolveStatus::PrimalInfeasible;
+            if (shell.certifiesInfeasibility(delta_x, delta_y))
                 break;
-            }
-            if (certifiesDualInfeasibility(original, delta_x,
-                                           settings_.epsDualInf)) {
-                info.status = SolveStatus::DualInfeasible;
-                break;
-            }
         }
 
-        if (adapt_now && adaptRho(prim_res, dual_res, x_u, y_u, z_u))
+        if (adapt_now &&
+            adaptRho(res.primRes, res.dualRes, x_u, y_u, z_u))
             ++info.rhoUpdates;
     }
-
-    // Exit paths that break out between termination checks (time
-    // limit, iteration cap) may carry iterates an injected fault
-    // poisoned after the last screen — never return them.
-    if (hasNonFinite(x_) || hasNonFinite(y_) || hasNonFinite(z_)) {
-        roll_back();
-        if (info.status != SolveStatus::TimeLimitReached)
-            info.status = SolveStatus::NumericalError;
-    }
+    shell.guardExit();
 
     // Final unscaled solution.
     qp_.unscaleX(x_, result.x);
@@ -409,59 +300,10 @@ OsqpSolver::solve()
     if (settings_.polish && info.status == SolveStatus::Solved)
         result.polish = polishSolution(original, settings_, result);
 
-    info.solveTime = solve_timer.seconds();
     info.kktSolveTime = kkt_timer.totalSeconds();
     if (const HotPathProfiler* profiler = kkt_->hotPathProfiler())
         info.hotPath = profiler->snapshot();
-
-    // Per-solve telemetry record + process-wide aggregates. The
-    // registry adds happen once per solve (never per iteration), so
-    // their cost is invisible next to even one KKT step.
-    SolveTelemetry& tele = info.telemetry;
-    tele.backend = backendKindName(BackendKind::Admm);
-    tele.iterations = info.iterations;
-    tele.pcgIterationsTotal = info.pcgIterationsTotal;
-    tele.pcgItersPerSolve = tele.kktSolves > 0
-        ? static_cast<Real>(tele.pcgIterationsTotal) /
-            static_cast<Real>(tele.kktSolves)
-        : 0.0;
-    tele.isaLevel = isaLevelName(simd::activeIsaLevel());
-    tele.recoveryEvents =
-        static_cast<Count>(info.recovery.events.size());
-    tele.faultsInjected = faultInjector_ != nullptr
-        ? faultInjector_->faultsInjected() - faults_before
-        : 0;
-    tele.solveSeconds = info.solveTime;
-    {
-        using telemetry::MetricsRegistry;
-        MetricsRegistry& registry = MetricsRegistry::global();
-        static telemetry::Counter& solves = registry.counter(
-            "rsqp_admm_solves_total", "Completed OsqpSolver::solve "
-            "calls");
-        static telemetry::Counter& iterations = registry.counter(
-            "rsqp_admm_iterations_total", "ADMM iterations executed");
-        static telemetry::Counter& pcg_iterations = registry.counter(
-            "rsqp_admm_pcg_iterations_total",
-            "Inner PCG iterations executed");
-        static telemetry::Counter& rho_updates = registry.counter(
-            "rsqp_admm_rho_updates_total", "Adaptive-rho refactors");
-        static telemetry::Counter& recoveries = registry.counter(
-            "rsqp_admm_recovery_events_total",
-            "Watchdog/fallback recovery actions");
-        static telemetry::Histogram& solve_ns = registry.histogram(
-            "rsqp_admm_solve_ns", "Wall-clock nanoseconds per solve");
-        solves.increment();
-        iterations.add(static_cast<std::uint64_t>(info.iterations));
-        pcg_iterations.add(
-            static_cast<std::uint64_t>(info.pcgIterationsTotal));
-        rho_updates.add(static_cast<std::uint64_t>(info.rhoUpdates));
-        recoveries.add(
-            static_cast<std::uint64_t>(tele.recoveryEvents));
-        solve_ns.observe(
-            static_cast<std::uint64_t>(info.solveTime * 1e9));
-    }
-
-    lastInfo_ = info;
+    shell.finish(result);
     return result;
 }
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * From-scratch implementation of the OSQP ADMM solver (Algorithm 1).
+ * From-scratch implementation of the OSQP ADMM solver (Algorithm 1),
+ * and the QpBackend that makeBackend() builds for BackendKind::Admm.
  *
  * Setup validation, Ruiz scaling, the parametric setters and the
  * scaled <-> unscaled maps live in the solver's ScaledQp
- * (osqp/scaling.hpp); the infeasibility certificates are the free
- * functions of osqp/residuals.hpp. The solver itself owns the
- * per-constraint rho vector, a pluggable KKT backend (direct LDL' or
- * indirect PCG), adaptive rho and the ADMM loop with OSQP's
- * termination logic.
+ * (osqp/scaling.hpp); the termination checks, infeasibility
+ * certificates, watchdog recovery and the accounting close are the
+ * SolveShell shared with the PDHG engine (osqp/recovery.hpp). The
+ * solver itself owns the per-constraint rho vector, a pluggable KKT
+ * backend (direct LDL' or indirect PCG), adaptive rho, the ADMM
+ * iteration and its recovery reaction (a sigma boost).
  *
  * The parametric-update entry points (updateLinearCost, updateBounds,
  * updateMatrixValues) keep the sparsity structure fixed — the reuse
@@ -22,6 +24,7 @@
 
 #include <memory>
 
+#include "backends/qp_backend.hpp"
 #include "common/fault_injection.hpp"
 #include "osqp/problem.hpp"
 #include "osqp/recovery.hpp"
@@ -34,7 +37,7 @@ namespace rsqp
 {
 
 /** The OSQP solver object (setup once, solve many). */
-class OsqpSolver
+class OsqpSolver final : public QpBackend
 {
   public:
     /**
@@ -48,12 +51,12 @@ class OsqpSolver
      */
     OsqpSolver(QpProblem problem, OsqpSettings settings);
 
-    ~OsqpSolver();
+    ~OsqpSolver() override;
     OsqpSolver(const OsqpSolver&) = delete;
     OsqpSolver& operator=(const OsqpSolver&) = delete;
 
     /** Run Algorithm 1 from the current warm-start state. */
-    OsqpResult solve();
+    OsqpResult solve() override;
 
     /**
      * Warm start the next solve() from a primal/dual guess (unscaled).
@@ -62,17 +65,17 @@ class OsqpSolver
      * from the current iterates), in the same spirit as the
      * non-throwing InvalidProblem path.
      */
-    bool warmStart(const Vector& x, const Vector& y);
+    bool warmStart(const Vector& x, const Vector& y) override;
 
     /** Replace q (same length); rescales internally. */
-    void updateLinearCost(const Vector& q);
+    void updateLinearCost(const Vector& q) override;
 
     /**
      * Replace l and u (same length); rescales internally. When a row
      * changes constraint class the rho vector and the KKT backend are
      * refreshed, as osqp_update_bounds does.
      */
-    void updateBounds(const Vector& l, const Vector& u);
+    void updateBounds(const Vector& l, const Vector& u) override;
 
     /**
      * Manually set the scalar rho (osqp_update_rho): rebuilds the
@@ -89,7 +92,10 @@ class OsqpSolver
      * per-request deadline — the remaining budget after queue wait —
      * without rebuilding the solver.
      */
-    void setTimeLimit(Real seconds) { settings_.timeLimit = seconds; }
+    void setTimeLimit(Real seconds) override
+    {
+        settings_.timeLimit = seconds;
+    }
 
     /**
      * Replace the numeric values of P and/or A keeping the sparsity
@@ -97,21 +103,23 @@ class OsqpSolver
      * in the *original* (unscaled) CSC order of the setup matrices.
      */
     void updateMatrixValues(const std::vector<Real>& p_values,
-                            const std::vector<Real>& a_values);
+                            const std::vector<Real>& a_values) override;
 
     const OsqpSettings& settings() const { return settings_; }
 
     /** Problem diagnostics from setup (ok() unless InvalidProblem). */
-    const ValidationReport& validation() const
+    const ValidationReport& validation() const override
     {
         return qp_.validation();
     }
 
+    BackendKind kind() const override { return BackendKind::Admm; }
+
     /** Per-constraint rho vector currently in use (scaled space). */
     const Vector& rhoVec() const { return rhoVec_; }
 
-    Index numVariables() const { return n_; }
-    Index numConstraints() const { return m_; }
+    Index numVariables() const override { return n_; }
+    Index numConstraints() const override { return m_; }
 
   private:
     void buildRhoVec(Real rho_bar);
@@ -144,7 +152,7 @@ class OsqpSolver
     // Scaled-space iterates (persist across solves for warm starting).
     Vector x_, y_, z_;
 
-    OsqpInfo lastInfo_;
+    double setupSeconds_ = 0.0;  ///< reported by every solve's info
 };
 
 } // namespace rsqp

@@ -273,10 +273,9 @@ SolverFleet::onJobStarting(std::size_t core)
 }
 
 void
-SolverFleet::onJobExecuted(std::size_t core, bool interleaved,
-                           double device_seconds, bool degraded)
+SolverFleet::onJobExecuted(std::size_t core, double device_seconds,
+                           bool degraded)
 {
-    (void)interleaved;
     Core& state = cores_[core];
     ++state.jobs;
     ++jobsExecuted_;

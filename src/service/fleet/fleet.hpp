@@ -206,12 +206,6 @@ class SolverFleet
         return cores_[core].health.dispatchable();
     }
 
-    CoreHealth
-    coreHealth(std::size_t core) const
-    {
-        return cores_[core].health.health();
-    }
-
     /** Cores currently allowed to take work. */
     std::size_t availableCoreCount() const;
 
@@ -253,8 +247,8 @@ class SolverFleet
      * a clean (non-degraded) job also feeds the health machine's
      * recovery count.
      */
-    void onJobExecuted(std::size_t core, bool interleaved,
-                       double device_seconds, bool degraded = false);
+    void onJobExecuted(std::size_t core, double device_seconds,
+                       bool degraded = false);
 
     /**
      * Take the whole ready queue of a (newly quarantined) core, in
@@ -282,8 +276,6 @@ class SolverFleet
      * if no core is quarantined.
      */
     bool advanceVirtualToNextProbe();
-
-    double virtualNow() const { return virtualNow_; }
 
     /** Virtual seconds until the earliest pending readmission probe
      *  (0 when none is pending or one is already due). */

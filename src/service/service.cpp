@@ -642,7 +642,6 @@ void
 SolverService::runStream(Launch stream)
 {
     Timer busy;
-    const bool interleaved = stream.entries.size() > 1;
     for (std::size_t index = 0; index < stream.entries.size();
          ++index) {
         Launch::Entry& entry = stream.entries[index];
@@ -731,9 +730,8 @@ SolverService::runStream(Launch stream)
                     entry.state->solvesCounter->increment();
                 }
                 fleet_.onJobExecuted(
-                    stream.core, interleaved,
-                    static_cast<double>(result.deviceSeconds),
-                    degraded);
+                    stream.core,
+                    static_cast<double>(result.deviceSeconds), degraded);
                 entry.state->running = false;
                 if (!entry.state->open &&
                     entry.state->pending.empty()) {

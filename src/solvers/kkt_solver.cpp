@@ -143,7 +143,6 @@ IndirectKktSolver::solveWithFallback(const Vector& rhs_x,
         }
     }
     fallback_->solve(rhs_x, rhs_z, x_tilde, z_tilde);
-    ++fallbackSolves_;
     return true;
 }
 

@@ -106,9 +106,6 @@ class DirectKktSolver : public KktSolver
                             const std::vector<Real>& a_values) override;
     const char* name() const override { return "direct-ldl"; }
 
-    /** Factor non-zero count (for reporting). */
-    Count factorNnz() const { return ldl_->lnnz(); }
-
   private:
     void refactor();
 
@@ -151,9 +148,6 @@ class IndirectKktSolver : public KktSolver
     /** Iterations used by the most recent solve. */
     Index lastPcgIterations() const { return lastPcgIters_; }
 
-    /** Steps answered by the LDL' fallback after a PCG breakdown. */
-    Count fallbackSolves() const { return fallbackSolves_; }
-
   private:
     /**
      * Solve this step with a lazily constructed DirectKktSolver.
@@ -178,7 +172,6 @@ class IndirectKktSolver : public KktSolver
     Count totalPcgIters_ = 0;
     Count solveCount_ = 0;  ///< drives the adaptive tolerance schedule
     std::unique_ptr<DirectKktSolver> fallback_;  ///< built on first use
-    Count fallbackSolves_ = 0;
 };
 
 } // namespace rsqp

@@ -1,10 +1,10 @@
 /**
  * @file
- * Backend subsystem tests: cross-backend solution equivalence, the
- * ADMM wrapper's bitwise fidelity to the raw solver, PDHG determinism
- * across thread counts, the Auto pick's bitwise identity with the
- * engine it selects, settings validation, and per-backend telemetry
- * labels/counters.
+ * Backend subsystem tests: cross-backend solution equivalence, PDHG
+ * determinism across thread counts, the Auto pick's bitwise identity
+ * with the engine it selects, PDHG's recovery path under injected
+ * faults, settings validation, and per-engine telemetry labels and
+ * counters.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,9 @@
 #include "backends/backend_selector.hpp"
 #include "backends/qp_backend.hpp"
 #include "common/thread_pool.hpp"
+#include "core/rsqp_solver.hpp"
+#include "linalg/vector_ops.hpp"
+#include "osqp/residuals.hpp"
 #include "osqp/solver.hpp"
 #include "osqp/validate.hpp"
 #include "problems/suite.hpp"
@@ -58,25 +61,6 @@ TEST(Backends, FactoryReturnsRequestedKind)
         EXPECT_EQ(backend->numVariables(), qp.numVariables());
         EXPECT_EQ(backend->numConstraints(), qp.numConstraints());
     }
-}
-
-TEST(Backends, AdmmWrapperMatchesRawSolverBitwise)
-{
-    const QpProblem qp = generateProblem(Domain::Portfolio, 60, 11);
-    const OsqpSettings settings = baseSettings();
-
-    OsqpSolver raw(qp, settings);
-    const OsqpResult expect = raw.solve();
-    const OsqpResult got = solveWith(qp, settings, BackendKind::Admm);
-
-    ASSERT_EQ(got.info.status, expect.info.status);
-    EXPECT_EQ(got.info.iterations, expect.info.iterations);
-    EXPECT_EQ(got.info.objective, expect.info.objective);
-    ASSERT_EQ(got.x.size(), expect.x.size());
-    for (std::size_t i = 0; i < expect.x.size(); ++i)
-        EXPECT_EQ(got.x[i], expect.x[i]);
-    for (std::size_t i = 0; i < expect.y.size(); ++i)
-        EXPECT_EQ(got.y[i], expect.y[i]);
 }
 
 TEST(Backends, CrossBackendSolutionEquivalence)
@@ -236,19 +220,36 @@ TEST(Backends, MetricsCountPerBackendSolves)
     const QpProblem qp = generateProblem(Domain::Eqqp, 30, 3);
     OsqpSettings settings = baseSettings();
 
-    const auto solves = [](const char* backend) {
+    const auto solves = [](const char* engine) {
         return MetricsRegistry::global().snapshot().counterValue(
-            std::string("rsqp_backend_solves_total{backend=\"") +
-            backend + "\"}");
+            telemetry::labeledName("rsqp_solves_total", "engine",
+                                   engine));
     };
-    const std::uint64_t admm_before = solves("admm");
-    const std::uint64_t pdhg_before = solves("pdhg");
 
+    // A direct OsqpSolver solve and a makeBackend ADMM solve each
+    // count once under the same engine.
+    std::uint64_t before = solves("admm");
+    (void)OsqpSolver(qp, settings).solve();
+    EXPECT_EQ(solves("admm"), before + 1);
+    before = solves("admm");
     (void)solveWith(qp, settings, BackendKind::Admm);
-    (void)solveWith(qp, settings, BackendKind::Pdhg);
+    EXPECT_EQ(solves("admm"), before + 1);
 
-    EXPECT_EQ(solves("admm"), admm_before + 1);
-    EXPECT_EQ(solves("pdhg"), pdhg_before + 1);
+    before = solves("pdhg");
+    (void)solveWith(qp, settings, BackendKind::Pdhg);
+    EXPECT_EQ(solves("pdhg"), before + 1);
+
+    OsqpSettings device_settings;
+    device_settings.backend = KktBackend::IndirectPcg;
+    CustomizeSettings custom;
+    custom.c = 16;
+    RsqpSolver device(generateProblem(Domain::Control, 4, 1),
+                      device_settings, custom);
+    const std::uint64_t admm_before = solves("admm");
+    before = solves("device");
+    (void)device.solve();
+    EXPECT_EQ(solves("device"), before + 1);
+    EXPECT_EQ(solves("admm"), admm_before);
 }
 
 TEST(Backends, ParametricUpdatesMatchRebuild)
@@ -280,6 +281,97 @@ TEST(Backends, ParametricUpdatesMatchRebuild)
                        via_rebuild.info.objective) /
                   scale,
               1e-5);
+}
+
+// --- PDHG recovery under injected operator faults ------------------
+
+OsqpResult
+injectedPdhgSolve(bool watchdog)
+{
+    const QpProblem qp = generateProblem(Domain::Eqqp, 30, 3);
+    OsqpSettings settings = baseSettings();
+    settings.firstOrder.method = BackendKind::Pdhg;
+    settings.faultInjection.enabled = true;
+    settings.faultInjection.seed = 7;
+    settings.faultInjection.ratePerWord = 1e-3;
+    settings.faultTolerance.watchdog = watchdog;
+    return makeBackend(qp, settings)->solve();
+}
+
+TEST(PdhgRecovery, WatchdogRestoresOnceThenFailsTyped)
+{
+    const OsqpResult result = injectedPdhgSolve(true);
+    EXPECT_EQ(result.info.status, SolveStatus::NumericalError);
+    EXPECT_EQ(result.info.iterations, 150);
+    EXPECT_GT(result.info.telemetry.faultsInjected, 0);
+    const RecoveryReport& recovery = result.info.recovery;
+    ASSERT_EQ(recovery.events.size(), 2u);
+    EXPECT_EQ(recovery.events[0].action,
+              RecoveryAction::CheckpointRestore);
+    EXPECT_EQ(recovery.events[1].action, RecoveryAction::SigmaBoost);
+    EXPECT_EQ(recovery.events[1].detail.rfind("step backoff: tau = ", 0),
+              0u);
+    EXPECT_EQ(recovery.checkpointRestores, 1);
+    EXPECT_EQ(recovery.sigmaBoosts, 1);
+    EXPECT_EQ(result.info.telemetry.recoveryEvents, 2);
+    EXPECT_FALSE(hasNonFinite(result.x));
+    EXPECT_FALSE(hasNonFinite(result.y));
+    EXPECT_FALSE(hasNonFinite(result.z));
+}
+
+TEST(PdhgRecovery, InjectedRunsAreBitwiseReproducible)
+{
+    const OsqpResult first = injectedPdhgSolve(true);
+    const OsqpResult second = injectedPdhgSolve(true);
+    EXPECT_EQ(second.info.status, first.info.status);
+    EXPECT_EQ(second.info.iterations, first.info.iterations);
+    EXPECT_EQ(second.info.telemetry.faultsInjected,
+              first.info.telemetry.faultsInjected);
+    ASSERT_EQ(second.info.recovery.events.size(),
+              first.info.recovery.events.size());
+    for (std::size_t i = 0; i < first.info.recovery.events.size(); ++i) {
+        EXPECT_EQ(second.info.recovery.events[i].iteration,
+                  first.info.recovery.events[i].iteration);
+        EXPECT_EQ(second.info.recovery.events[i].detail,
+                  first.info.recovery.events[i].detail);
+    }
+    EXPECT_EQ(second.x, first.x);
+    EXPECT_EQ(second.y, first.y);
+}
+
+TEST(PdhgRecovery, WatchdogOffFailsAtFirstPoisonedCheck)
+{
+    const OsqpResult result = injectedPdhgSolve(false);
+    EXPECT_EQ(result.info.status, SolveStatus::NumericalError);
+    EXPECT_EQ(result.info.iterations, 25);
+    EXPECT_TRUE(result.info.recovery.empty());
+    EXPECT_FALSE(hasNonFinite(result.x));
+    EXPECT_FALSE(hasNonFinite(result.y));
+}
+
+TEST(TimeLimit, PdhgEarlyExitReportsResidualsOfReturnedPoint)
+{
+    // A solve that stops before its first check must report the
+    // residuals of the point it returns, not the previous solve's.
+    const QpProblem qp = generateProblem(Domain::Lasso, 40, 1);
+    OsqpSettings settings;
+    settings.firstOrder.method = BackendKind::Pdhg;
+    std::unique_ptr<QpBackend> backend = makeBackend(qp, settings);
+    (void)backend->solve();
+
+    QpProblem shifted = qp;
+    for (Real& v : shifted.q)
+        v *= 3.0;
+    backend->updateLinearCost(shifted.q);
+    backend->setTimeLimit(1e-12);
+    const OsqpResult result = backend->solve();
+    ASSERT_EQ(result.info.status, SolveStatus::TimeLimitReached);
+    EXPECT_EQ(result.info.iterations, 0);
+    const ResidualInfo returned =
+        computeResiduals(shifted, result.x, result.y, result.z,
+                         settings.epsAbs, settings.epsRel);
+    EXPECT_DOUBLE_EQ(result.info.primRes, returned.primRes);
+    EXPECT_DOUBLE_EQ(result.info.dualRes, returned.dualRes);
 }
 
 TEST(BackendValidation, AdaptiveRhoToleranceMustExceedOne)

@@ -16,6 +16,7 @@
 #include "common/fault_injection.hpp"
 #include "linalg/vector_ops.hpp"
 #include "osqp/recovery.hpp"
+#include "osqp/residuals.hpp"
 #include "osqp/solver.hpp"
 #include "problems/suite.hpp"
 #include "tests/test_util.hpp"
@@ -156,6 +157,30 @@ TEST(TimeLimit, ExpiresWithTypedStatusAndFiniteIterates)
     EXPECT_FALSE(hasNonFinite(result.x));
     EXPECT_FALSE(hasNonFinite(result.y));
     EXPECT_FALSE(hasNonFinite(result.z));
+}
+
+TEST(TimeLimit, EarlyExitReportsResidualsOfReturnedPoint)
+{
+    // A solve that stops before its first check must report the
+    // residuals of the point it returns, not the previous solve's.
+    const QpProblem qp = generateProblem(Domain::Lasso, 40, 1);
+    const OsqpSettings settings;
+    OsqpSolver solver(qp, settings);
+    ASSERT_EQ(solver.solve().info.status, SolveStatus::Solved);
+
+    QpProblem shifted = qp;
+    for (Real& v : shifted.q)
+        v *= 3.0;
+    solver.updateLinearCost(shifted.q);
+    solver.setTimeLimit(1e-12);
+    const OsqpResult result = solver.solve();
+    ASSERT_EQ(result.info.status, SolveStatus::TimeLimitReached);
+    EXPECT_EQ(result.info.iterations, 0);
+    const ResidualInfo returned =
+        computeResiduals(shifted, result.x, result.y, result.z,
+                         settings.epsAbs, settings.epsRel);
+    EXPECT_DOUBLE_EQ(result.info.primRes, returned.primRes);
+    EXPECT_DOUBLE_EQ(result.info.dualRes, returned.dualRes);
 }
 
 TEST(TimeLimit, GenerousBudgetDoesNotTrigger)
