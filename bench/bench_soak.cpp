@@ -215,7 +215,7 @@ main(int argc, char** argv)
     const Options options = parseOptions(argc, argv);
 
     // One session per problem structure; small structures so the
-    // parametric fast path and stream interleaving both engage.
+    // parametric fast path engages.
     // Sessions serialize their own requests (per-session FIFO), so
     // Realtime gets four structures: an MPC chain occupies a single
     // session, and more control loops means less head-of-line
@@ -305,10 +305,6 @@ main(int argc, char** argv)
     serviceConfig.fleet.coreCount = options.cores;
     serviceConfig.fleet.slotsPerCore = 1;
     serviceConfig.fleet.affinityQueueBound = 2;
-    // Narrow streams: a launched stream runs to completion, so its
-    // width is unpreemptible head-of-line latency for every Realtime
-    // arrival behind it.
-    serviceConfig.fleet.interleaveWidth = 2;
     // The isolation story is structural, not deadline-driven: a short
     // Realtime queue bounds how much backlog a solved Realtime request
     // can ever have waited behind, a dominant Realtime weight bounds

@@ -175,6 +175,10 @@ RsqpSolver::solve()
     // attempts — the retry cost is real device time.
     const FaultInjector* injector = machine_->faultInjector();
     const Index max_attempts = injector != nullptr ? 2 : 1;
+    // The injector lives as long as the machine; report only this
+    // solve's share of its running count.
+    const Count faults_before =
+        injector != nullptr ? injector->faultsInjected() : 0;
 
     for (Index attempt = 1; attempt <= max_attempts; ++attempt) {
         machine_->run(prog_.program);
@@ -233,7 +237,8 @@ RsqpSolver::solve()
 
     result.objective = original.objective(result.x);
     if (injector != nullptr)
-        result.faultsInjected = injector->faultsInjected();
+        result.faultsInjected =
+            injector->faultsInjected() - faults_before;
 
     result.machineStats = machine_->stats();
     result.fmaxMhz = estimateFmaxMhz(custom_.config);

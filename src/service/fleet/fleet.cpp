@@ -37,9 +37,6 @@ SolverFleet::SolverFleet(const FleetConfig& config,
                          telemetry::MetricsRegistry& registry)
     : config_(config),
       slots_(resolveSlots(config)),
-      interleave_(config.coreCount > 1
-                      ? std::max(1u, config.interleaveWidth)
-                      : 1u),
       scheduler_(std::max(1u, config.coreCount), config.affinityQueueBound),
       cores_(std::max(1u, config.coreCount))
 {
@@ -60,9 +57,6 @@ SolverFleet::SolverFleet(const FleetConfig& config,
         core.streamsTotal = &registry.counter(
             coreSeries("rsqp_fleet_core_streams_total", i),
             "Instruction streams dispatched to this core");
-        core.interleavedTotal = &registry.counter(
-            coreSeries("rsqp_fleet_core_interleaved_jobs_total", i),
-            "Jobs that ran fused into a multi-QP stream");
         core.busyNsTotal = &registry.counter(
             coreSeries("rsqp_fleet_core_busy_ns_total", i),
             "Nanoseconds streams held this core");
@@ -131,10 +125,9 @@ SolverFleet::placeSession(const StructureFingerprint& fp) const
 
 void
 SolverFleet::enqueueReady(std::size_t core, SessionId id,
-                          AdmissionClass cls, bool small_job)
+                          AdmissionClass cls)
 {
-    cores_[core].ready[static_cast<std::size_t>(cls)].push_back(
-        ReadyEntry{id, cls, small_job});
+    cores_[core].ready[static_cast<std::size_t>(cls)].push_back(id);
 }
 
 std::size_t
@@ -146,11 +139,10 @@ SolverFleet::readyDepth(std::size_t core) const
     return depth;
 }
 
-std::vector<SessionId>
-SolverFleet::popStream(std::size_t core)
+std::optional<SessionId>
+SolverFleet::popReady(std::size_t core)
 {
     Core& state = cores_[core];
-    std::vector<SessionId> stream;
     // Smooth weighted round-robin across the classes that actually
     // have work: every waiting class earns its weight, the richest
     // class dispatches and pays back the total earned this round.
@@ -170,34 +162,20 @@ SolverFleet::popStream(std::size_t core)
             chosen = c;
     }
     if (chosen == kAdmissionClassCount)
-        return stream;
+        return std::nullopt;
     state.wrrCredit[chosen] -= earned;
-    std::deque<ReadyEntry>& queue = state.ready[chosen];
-    // A large head job gets its own stream; a small head job pulls in
-    // consecutive small successors up to the interleave width. Only
-    // consecutive ones (within the same class): skipping over a large
-    // job would reorder the class's queue and starve it.
-    const bool fuse = interleave_ > 1 && queue.front().small;
-    const std::size_t width = fuse ? interleave_ : 1;
-    while (stream.size() < width && !queue.empty() &&
-           (stream.empty() || queue.front().small)) {
-        stream.push_back(queue.front().id);
-        queue.pop_front();
-    }
-    return stream;
+    std::deque<SessionId>& queue = state.ready[chosen];
+    const SessionId id = queue.front();
+    queue.pop_front();
+    return id;
 }
 
 void
-SolverFleet::onStreamLaunched(std::size_t core, std::size_t jobs)
+SolverFleet::onStreamLaunched(std::size_t core)
 {
     Core& state = cores_[core];
     ++state.running;
-    ++state.streams;
     state.streamsTotal->increment();
-    if (jobs > 1) {
-        state.interleavedJobs += static_cast<Count>(jobs);
-        state.interleavedTotal->add(jobs);
-    }
 }
 
 void
@@ -211,7 +189,6 @@ SolverFleet::quarantineSideEffects(std::size_t core)
     state.cache->clear();
     state.degradeJobsLeft = 0;
     state.slowdown = 1.0;
-    ++partitionInvalidations_;
     invalidationsTotal_->increment();
     quarantinesTotal_->increment();
     syncStateGauge(core);
@@ -230,7 +207,6 @@ SolverFleet::onJobStarting(std::size_t core)
                                                 fleetSeq)
             : nullptr;
     if (event != nullptr) {
-        ++state.faults;
         state.faultsTotal->increment();
         switch (event->kind) {
         case FleetFaultKind::KillCore:
@@ -239,7 +215,7 @@ SolverFleet::onJobStarting(std::size_t core)
             action.kind = FleetFaultAction::Kind::FailStream;
             return action;
         case FleetFaultKind::HangCore:
-            // The stream sat on the stalled core until the watchdog
+            // The job sat on the stalled core until the watchdog
             // fired: that time passed for the whole fleet.
             virtualNow_ += config_.faultDomain.stallWatchdogSeconds;
             state.health.onFatalFault(virtualNow_);
@@ -277,8 +253,6 @@ SolverFleet::onJobExecuted(std::size_t core, double device_seconds,
                            bool degraded)
 {
     Core& state = cores_[core];
-    ++state.jobs;
-    ++jobsExecuted_;
     state.deviceSeconds += device_seconds;
     virtualNow_ += device_seconds;
     state.jobsTotal->increment();
@@ -290,10 +264,10 @@ SolverFleet::onJobExecuted(std::size_t core, double device_seconds,
     }
 }
 
-std::vector<ReadyEntry>
+std::vector<SessionId>
 SolverFleet::drainReady(std::size_t core)
 {
-    std::vector<ReadyEntry> drained;
+    std::vector<SessionId> drained;
     for (auto& queue : cores_[core].ready) {
         drained.insert(drained.end(), queue.begin(), queue.end());
         queue.clear();
@@ -302,11 +276,10 @@ SolverFleet::drainReady(std::size_t core)
 }
 
 void
-SolverFleet::recordFailover(std::size_t core, Count jobs)
+SolverFleet::recordFailover(std::size_t core)
 {
-    cores_[core].failedOverJobs += jobs;
-    failovers_ += jobs;
-    failoversTotal_->add(static_cast<std::uint64_t>(jobs));
+    ++cores_[core].failedOverJobs;
+    failoversTotal_->increment();
 }
 
 std::size_t
@@ -374,12 +347,13 @@ SolverFleet::secondsToNextProbe() const
 double
 SolverFleet::averageJobDeviceSeconds() const
 {
-    if (jobsExecuted_ == 0)
-        return 0.0;
+    std::uint64_t jobs = 0;
     double device = 0.0;
-    for (const Core& core : cores_)
+    for (const Core& core : cores_) {
+        jobs += core.jobsTotal->value();
         device += core.deviceSeconds;
-    return device / static_cast<double>(jobsExecuted_);
+    }
+    return jobs == 0 ? 0.0 : device / static_cast<double>(jobs);
 }
 
 void
@@ -415,16 +389,16 @@ SolverFleet::stats() const
     FleetStats stats;
     stats.wallSeconds = wall_.seconds();
     stats.virtualSeconds = virtualNow_;
-    stats.failovers = failovers_;
-    stats.partitionInvalidations = partitionInvalidations_;
+    stats.failovers = static_cast<Count>(failoversTotal_->value());
+    stats.partitionInvalidations =
+        static_cast<Count>(invalidationsTotal_->value());
     stats.cores.reserve(cores_.size());
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         const Core& core = cores_[i];
         CoreStats entry;
         entry.core = i;
-        entry.jobs = core.jobs;
-        entry.streams = core.streams;
-        entry.interleavedJobs = core.interleavedJobs;
+        entry.jobs = static_cast<Count>(core.jobsTotal->value());
+        entry.streams = static_cast<Count>(core.streamsTotal->value());
         entry.busySeconds = core.busySeconds;
         entry.deviceSeconds = core.deviceSeconds;
         const double denominator = stats.wallSeconds * slots_;
@@ -435,7 +409,7 @@ SolverFleet::stats() const
         entry.runningStreams = core.running;
         entry.cache = core.cache->stats();
         entry.health = core.health.health();
-        entry.faults = core.faults;
+        entry.faults = static_cast<Count>(core.faultsTotal->value());
         entry.quarantines = core.health.quarantines();
         entry.probes = core.health.probesAttempted();
         entry.readmissions = core.health.readmissions();

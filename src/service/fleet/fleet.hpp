@@ -18,11 +18,9 @@
  * hits) registered as labeled series in the service's metrics
  * registry.
  *
- * Co-scheduling models `mib_sched.py`'s temporal instruction
- * interleaving: when several *small* QPs are queued on one core, the
- * fleet fuses up to `interleaveWidth` of them into one instruction
- * stream — one dispatch, one run-slot occupancy window — instead of
- * cycling the core per tiny job.
+ * Every dispatch is one request: a run slot holds one job's
+ * instruction stream at a time, so per core `streams == jobs` on a
+ * fault-free run.
  *
  * The fleet is a passive component: every method must be called under
  * the owning SolverService's lock. Execution still happens on the
@@ -36,7 +34,7 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "common/fault_injection.hpp"
@@ -53,17 +51,6 @@ namespace rsqp
 /** Handle of one open session (never reused within a service). */
 using SessionId = Count;
 
-/** One placed session waiting in a core's ready queue. */
-struct ReadyEntry
-{
-    SessionId id = 0;
-    /** Admission class of the session's head job — the weighted-fair
-     *  dispatch key. */
-    AdmissionClass cls = AdmissionClass::Interactive;
-    /** Head job's n + m is under the interleaving threshold. */
-    bool small = false;
-};
-
 /** Fleet shape and placement behavior, fixed at service construction. */
 struct FleetConfig
 {
@@ -77,11 +64,6 @@ struct FleetConfig
     unsigned slotsPerCore = 0;
     /** Ready-queue depth beyond which affinity spills to least-loaded. */
     std::size_t affinityQueueBound = 4;
-    /** Max small QPs fused into one interleaved instruction stream
-     *  (effective only with coreCount > 1; 1 disables fusing). */
-    unsigned interleaveWidth = 4;
-    /** A job with n + m <= this counts as small (interleavable). */
-    Index smallJobThreshold = 128;
     /** Health-model knobs: stall watchdog, breaker, probe backoff. */
     FaultDomainConfig faultDomain;
     /**
@@ -100,11 +82,11 @@ struct FleetFaultAction
     {
         None,       ///< run the job normally
         Degrade,    ///< run it, but inflate its modeled device time
-        FailStream, ///< core failed: fail over the rest of the stream
+        FailStream, ///< core failed: fail the job over
     };
     Kind kind = Kind::None;
     /** FailStream: the core hung and the stall watchdog fired; the
-     *  watchdog charge applies to every failed-over job's budget. */
+     *  watchdog charge applies to the failed-over job's budget. */
     bool hang = false;
     /** Degrade: modeled-device-time multiplier. */
     Real slowdown = 1.0;
@@ -116,7 +98,9 @@ struct CoreStats
     std::size_t core = 0;
     Count jobs = 0;            ///< jobs executed to completion
     Count streams = 0;         ///< instruction streams dispatched
-    Count interleavedJobs = 0; ///< jobs that ran fused with others
+    /** Always 0: a stream runs exactly one job. Kept only because the
+     *  perfbench `fleet.interleaved_jobs` layer metric reads it. */
+    Count interleavedJobs = 0;
     double busySeconds = 0.0;  ///< wall time streams held this core
     /** Simulated device occupancy: sum of the jobs' modeled on-device
      *  run times. Host-load independent, so scaling benches gate on
@@ -183,27 +167,14 @@ class SolverFleet
 
     /** Append a placed session to its core's ready queue, under the
      *  head job's admission class. */
-    void enqueueReady(std::size_t core, SessionId id,
-                      AdmissionClass cls, bool small_job);
-
-    bool
-    hasCapacity(std::size_t core) const
-    {
-        return cores_[core].running < slots_;
-    }
+    void enqueueReady(std::size_t core, SessionId id, AdmissionClass cls);
 
     /** Free slot *and* not quarantined — the pump's dispatch gate. */
     bool
     canDispatch(std::size_t core) const
     {
-        return hasCapacity(core) && dispatchable(core);
-    }
-
-    /** Health gate only (any state but Quarantined). */
-    bool
-    dispatchable(std::size_t core) const
-    {
-        return cores_[core].health.dispatchable();
+        return cores_[core].running < slots_ &&
+               cores_[core].health.dispatchable();
     }
 
     /** Cores currently allowed to take work. */
@@ -212,21 +183,19 @@ class SolverFleet
     std::size_t readyDepth(std::size_t core) const;
 
     /**
-     * Pop the sessions forming the next instruction stream of `core`.
-     * Which admission class supplies the stream is decided by smooth
-     * weighted round-robin over the core's non-empty class queues
-     * (every waiting class earns its weight in credit per decision;
-     * the highest credit dispatches, ties going to the more urgent
-     * class), so under contention each class drains in proportion to
-     * its configured weight instead of strict FIFO. Within the chosen
-     * class: one session, or — when the head and its successors are
-     * small jobs on a multi-core fleet — up to interleaveWidth of
-     * them.
+     * Pop the session whose head job `core` runs next, or nothing when
+     * every class queue is empty. Which admission class supplies it is
+     * decided by smooth weighted round-robin over the core's non-empty
+     * class queues (every waiting class earns its weight in credit per
+     * decision; the highest credit dispatches, ties going to the more
+     * urgent class), so under contention each class drains in
+     * proportion to its configured weight instead of strict FIFO;
+     * within the class, FIFO.
      */
-    std::vector<SessionId> popStream(std::size_t core);
+    std::optional<SessionId> popReady(std::size_t core);
 
-    /** A stream of `jobs` jobs took a run slot on `core`. */
-    void onStreamLaunched(std::size_t core, std::size_t jobs);
+    /** A job's stream took a run slot on `core`. */
+    void onStreamLaunched(std::size_t core);
 
     /**
      * Consult the fault domain as a job is about to start on `core`.
@@ -234,14 +203,14 @@ class SolverFleet
      * health machine: a kill/hang (or a breaker trip) quarantines the
      * core — its cache partition is invalidated and the first
      * readmission probe is armed — and returns FailStream, telling the
-     * caller to fail the stream's remaining jobs over instead of
-     * running them. A hang additionally advances the virtual clock by
-     * the stall-watchdog charge.
+     * caller to fail the job over instead of running it. A hang
+     * additionally advances the virtual clock by the stall-watchdog
+     * charge.
      */
     FleetFaultAction onJobStarting(std::size_t core);
 
     /**
-     * One job of a stream on `core` ran to a status, occupying the
+     * The job on `core` ran to a status, occupying the
      * simulated device for `device_seconds` of modeled time (already
      * inflated if the job ran degraded). Advances the virtual clock;
      * a clean (non-degraded) job also feeds the health machine's
@@ -252,14 +221,14 @@ class SolverFleet
 
     /**
      * Take the whole ready queue of a (newly quarantined) core, in
-     * class-priority order. The service re-places each entry; none may
-     * stay parked on a fenced core or it could wait out the entire
+     * class-priority order. The service re-places each session; none
+     * may stay parked on a fenced core or it could wait out the entire
      * quarantine.
      */
-    std::vector<ReadyEntry> drainReady(std::size_t core);
+    std::vector<SessionId> drainReady(std::size_t core);
 
-    /** `jobs` jobs were pulled off `core` by a failover. */
-    void recordFailover(std::size_t core, Count jobs);
+    /** A job was pulled off `core` by a failover. */
+    void recordFailover(std::size_t core);
 
     /**
      * Attempt the readmission probe of every quarantined core whose
@@ -308,20 +277,16 @@ class SolverFleet
     {
         /** Ready sessions, one queue per admission class; FIFO within
          *  a class, weighted round-robin across classes. */
-        std::array<std::deque<ReadyEntry>, kAdmissionClassCount> ready;
-        /** Smooth-WRR credit per class (see popStream). */
+        std::array<std::deque<SessionId>, kAdmissionClassCount> ready;
+        /** Smooth-WRR credit per class (see popReady). */
         std::array<std::int64_t, kAdmissionClassCount> wrrCredit{};
         unsigned running = 0;    ///< streams holding a slot
-        Count jobs = 0;
-        Count streams = 0;
-        Count interleavedJobs = 0;
         double busySeconds = 0.0;
         double deviceSeconds = 0.0;
         std::shared_ptr<CustomizationCache> cache;
 
         CoreHealthMachine health;
         Count jobsStarted = 0;    ///< fault-injection sequence number
-        Count faults = 0;         ///< injected faults delivered here
         Count failedOverJobs = 0; ///< jobs lost to failover
         Count degradedJobs = 0;
         Count degradeJobsLeft = 0; ///< remaining slowed jobs
@@ -329,7 +294,6 @@ class SolverFleet
 
         telemetry::Counter* jobsTotal = nullptr;
         telemetry::Counter* streamsTotal = nullptr;
-        telemetry::Counter* interleavedTotal = nullptr;
         telemetry::Counter* busyNsTotal = nullptr;
         telemetry::Counter* faultsTotal = nullptr;
         telemetry::Gauge* queueDepth = nullptr;
@@ -349,7 +313,6 @@ class SolverFleet
 
     FleetConfig config_;
     unsigned slots_;
-    unsigned interleave_;
     /** Dispatch weight per admission class (>= 1 each). */
     std::array<std::int64_t, kAdmissionClassCount> classWeights_;
     PlacementScheduler scheduler_;
@@ -358,9 +321,6 @@ class SolverFleet
 
     Real virtualNow_ = 0.0;   ///< see FleetStats::virtualSeconds
     Count fleetJobsStarted_ = 0;
-    Count jobsExecuted_ = 0;
-    Count failovers_ = 0;
-    Count partitionInvalidations_ = 0;
 
     telemetry::Counter* failoversTotal_ = nullptr;
     telemetry::Counter* quarantinesTotal_ = nullptr;

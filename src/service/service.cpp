@@ -130,7 +130,7 @@ SolverService::~SolverService()
 {
     // Shed, then drain (contract documented on the declaration):
     // queued-but-unstarted requests resolve ShuttingDown immediately;
-    // launched streams run to their real status. Nothing new can be
+    // launched jobs run to their real status. Nothing new can be
     // admitted because the owner is destroying the only handle.
     std::vector<std::shared_ptr<Job>> shed;
     {
@@ -350,9 +350,6 @@ SolverService::submitAsync(SessionId id, QpProblem problem,
     // Placement key, computed on the caller's thread: value-blind, so
     // every job of one structure carries the identical fingerprint.
     job->fp = fingerprintStructure(job->problem);
-    job->small = job->problem.numVariables() +
-                     job->problem.numConstraints() <=
-                 config_.fleet.smallJobThreshold;
     RequestToken token;
     token.handle = job;
 
@@ -498,8 +495,7 @@ SolverService::placeReadyLocked(SessionId id, SessionState& state)
     }
     const std::shared_ptr<Job>& head = state.pending.front();
     const std::size_t core = fleet_.placeSession(head->fp);
-    fleet_.enqueueReady(core, id, head->options.admissionClass,
-                        head->small);
+    fleet_.enqueueReady(core, id, head->options.admissionClass);
 }
 
 void
@@ -545,29 +541,24 @@ void
 SolverService::dispatchLocked(std::vector<Launch>& launches)
 {
     for (std::size_t core = 0; core < fleet_.coreCount(); ++core) {
-        while (fleet_.canDispatch(core) &&
-               fleet_.readyDepth(core) > 0) {
-            Launch stream;
-            stream.core = core;
-            for (SessionId id : fleet_.popStream(core)) {
-                auto it = sessions_.find(id);
-                // Stale entries (session closed or drained while
-                // queued) are dropped; they hold no job.
-                if (it == sessions_.end() || it->second->running ||
-                    it->second->pending.empty())
-                    continue;
-                SessionState& state = *it->second;
-                state.running = true;
-                stream.entries.push_back(
-                    {id, &state, state.pending.front()});
-                state.pending.pop_front();
-                unqueueLocked(stream.entries.back().job);
-            }
-            if (stream.entries.empty())
+        while (fleet_.canDispatch(core)) {
+            const std::optional<SessionId> id = fleet_.popReady(core);
+            if (!id)
+                break;
+            auto it = sessions_.find(*id);
+            // Stale entries (session closed or drained while queued)
+            // are dropped; they hold no job.
+            if (it == sessions_.end() || it->second->running ||
+                it->second->pending.empty())
                 continue;
-            fleet_.onStreamLaunched(core, stream.entries.size());
+            SessionState& state = *it->second;
+            state.running = true;
+            Launch run{core, *id, &state, state.pending.front()};
+            state.pending.pop_front();
+            unqueueLocked(run.job);
+            fleet_.onStreamLaunched(core);
             ++activeRuns_;
-            launches.push_back(std::move(stream));
+            launches.push_back(std::move(run));
         }
     }
 }
@@ -579,97 +570,80 @@ SolverService::launch(std::vector<Launch>& launches)
     // pool submit() runs the task inline, which would deadlock under
     // the lock.
     for (Launch& item : launches) {
-        Launch stream = std::move(item);
-        ThreadPool::global().submit(
-            [this, stream] { runStream(stream); });
+        Launch run = std::move(item);
+        ThreadPool::global().submit([this, run] { runJob(run); });
     }
+    launches.clear();
 }
 
-void
-SolverService::failOverStreamLocked(
-    Launch& stream, std::size_t from_index, bool hang,
-    std::vector<Launch>& launches,
-    std::vector<std::pair<std::shared_ptr<Job>, SolveStatus>>& shed)
+std::optional<SolveStatus>
+SolverService::failOverLocked(Launch& run, bool hang,
+                              std::vector<Launch>& launches)
 {
-    const double stall =
-        hang ? fleet_.stallWatchdogSeconds() : 0.0;
-    Count failedOver = 0;
-    for (std::size_t i = from_index; i < stream.entries.size(); ++i) {
-        Launch::Entry& entry = stream.entries[i];
-        // None of these jobs started solving: session state is
-        // untouched, so the re-run is bitwise identical to an
-        // undisturbed one.
-        entry.state->running = false;
-        entry.job->stallSeconds += stall;
-        ++entry.job->failovers;
-        ++failedOver;
-        if (shuttingDown_ || !entry.state->open) {
-            shed.emplace_back(entry.job,
-                              shuttingDown_ ? SolveStatus::ShuttingDown
-                                            : SolveStatus::Rejected);
-            if (!entry.state->open && entry.state->pending.empty()) {
-                retireSessionSeriesLocked(entry.id, *entry.state);
-                sessions_.erase(entry.id);
-                openSessions_.set(
-                    static_cast<std::int64_t>(sessions_.size()));
-            }
-            continue;
+    // The job never started solving: session state is untouched, so
+    // the re-run is bitwise identical to an undisturbed one.
+    std::optional<SolveStatus> shed;
+    run.state->running = false;
+    if (hang)
+        run.job->stallSeconds += fleet_.stallWatchdogSeconds();
+    ++run.job->failovers;
+    fleet_.recordFailover(run.core);
+    if (shuttingDown_ || !run.state->open) {
+        shed = shuttingDown_ ? SolveStatus::ShuttingDown
+                             : SolveStatus::Rejected;
+        if (!run.state->open && run.state->pending.empty()) {
+            retireSessionSeriesLocked(run.id, *run.state);
+            sessions_.erase(run.id);
+            openSessions_.set(
+                static_cast<std::int64_t>(sessions_.size()));
         }
-        entry.state->pending.push_front(entry.job);
+    } else {
+        run.state->pending.push_front(run.job);
         ++queuedJobs_;
         const std::size_t cls =
-            classIndex(entry.job->options.admissionClass);
+            classIndex(run.job->options.admissionClass);
         ++classQueued_[cls];
         classMetrics_[cls].queueDepth->set(
             static_cast<std::int64_t>(classQueued_[cls]));
-        placeReadyLocked(entry.id, *entry.state);
+        queueDepth_.set(static_cast<std::int64_t>(queuedJobs_));
+        placeReadyLocked(run.id, *run.state);
     }
-    fleet_.recordFailover(stream.core, failedOver);
-    queueDepth_.set(static_cast<std::int64_t>(queuedJobs_));
-    // Sessions still waiting on the now-fenced core follow the jobs
+    // Sessions still waiting on the now-fenced core follow the job
     // back to the scheduler.
-    for (const ReadyEntry& ready : fleet_.drainReady(stream.core)) {
-        auto it = sessions_.find(ready.id);
+    for (SessionId id : fleet_.drainReady(run.core)) {
+        auto it = sessions_.find(id);
         if (it == sessions_.end() || it->second->running ||
             it->second->pending.empty())
             continue;
-        placeReadyLocked(ready.id, *it->second);
+        placeReadyLocked(id, *it->second);
     }
     pumpLocked(launches);
+    return shed;
 }
 
 void
-SolverService::runStream(Launch stream)
+SolverService::runJob(Launch run)
 {
     Timer busy;
-    for (std::size_t index = 0; index < stream.entries.size();
-         ++index) {
-        Launch::Entry& entry = stream.entries[index];
+    std::vector<Launch> launches;
+    FleetFaultAction action;
+    std::optional<SolveStatus> shed;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        action = fleet_.onJobStarting(run.core);
+        if (action.kind == FleetFaultAction::Kind::FailStream)
+            shed = failOverLocked(run, action.hang, launches);
+    }
+    if (action.kind == FleetFaultAction::Kind::FailStream) {
+        if (shed) {
+            SessionResult dropped;
+            dropped.status = *shed;
+            run.job->callback(std::move(dropped));
+        }
+        if (!launches.empty())
+            launch(launches);
+    } else {
         SessionResult result;
-        std::vector<Launch> launches;
-        std::vector<std::pair<std::shared_ptr<Job>, SolveStatus>>
-            shed;
-        bool failedOver = false;
-        FleetFaultAction action;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            action = fleet_.onJobStarting(stream.core);
-            if (action.kind == FleetFaultAction::Kind::FailStream) {
-                failOverStreamLocked(stream, index, action.hang,
-                                     launches, shed);
-                failedOver = true;
-            }
-        }
-        if (failedOver) {
-            for (auto& item : shed) {
-                SessionResult dropped;
-                dropped.status = item.second;
-                item.first->callback(std::move(dropped));
-            }
-            if (!launches.empty())
-                launch(launches);
-            break; // the stream tail still releases this core's slot
-        }
         {
             // Scoped so the span is recorded *before* the callback is
             // invoked: a client that solves then immediately drains
@@ -678,9 +652,9 @@ SolverService::runStream(Launch stream)
             // Stall-watchdog charges from earlier failovers count
             // against the budget as if the client had really waited
             // them out on the hung core.
-            const double waited = secondsSince(entry.job->enqueued) +
-                                  entry.job->stallSeconds;
-            const Real deadline = entry.job->options.deadlineSeconds;
+            const double waited = secondsSince(run.job->enqueued) +
+                                  run.job->stallSeconds;
+            const Real deadline = run.job->options.deadlineSeconds;
             const bool expired = deadline > 0.0 && waited >= deadline;
             const auto executeStart = std::chrono::steady_clock::now();
             if (expired) {
@@ -695,10 +669,10 @@ SolverService::runStream(Launch stream)
                 // The session consults the placed core's cache
                 // partition, so affinity-routed structures find their
                 // artifact hot.
-                entry.state->session->bindCache(
-                    fleet_.coreCache(stream.core));
-                result = entry.state->session->solve(
-                    entry.job->problem, budget);
+                run.state->session->bindCache(
+                    fleet_.coreCache(run.core));
+                result = run.state->session->solve(run.job->problem,
+                                                   budget);
             }
             const bool degraded =
                 action.kind == FleetFaultAction::Kind::Degrade;
@@ -706,63 +680,58 @@ SolverService::runStream(Launch stream)
                 // Modeled slowdown: the device held the job longer.
                 result.deviceSeconds *=
                     static_cast<Real>(action.slowdown);
-            result.failovers = entry.job->failovers;
+            result.failovers = run.job->failovers;
             result.telemetry.queueWaitSeconds = waited;
             queueWaitNs_.observe(
                 static_cast<std::uint64_t>(waited * 1e9));
             executeNs_.observe(static_cast<std::uint64_t>(
                 secondsSince(executeStart) * 1e9));
 
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                const std::size_t cls =
-                    classIndex(entry.job->options.admissionClass);
-                entry.state->statsSnapshot =
-                    entry.state->session->stats();
-                if (expired) {
-                    expired_.increment();
-                    classMetrics_[cls].expired->increment();
-                } else {
-                    completed_.increment();
-                    classMetrics_[cls].completed->increment();
-                    if (result.status == SolveStatus::Solved)
-                        classMetrics_[cls].solved->increment();
-                    entry.state->solvesCounter->increment();
-                }
-                fleet_.onJobExecuted(
-                    stream.core,
-                    static_cast<double>(result.deviceSeconds), degraded);
-                entry.state->running = false;
-                if (!entry.state->open &&
-                    entry.state->pending.empty()) {
-                    // Deferred from closeSession.
-                    retireSessionSeriesLocked(entry.id, *entry.state);
-                    sessions_.erase(entry.id);
-                    openSessions_.set(
-                        static_cast<std::int64_t>(sessions_.size()));
-                } else if (!entry.state->pending.empty()) {
-                    placeReadyLocked(entry.id, *entry.state);
-                }
-                // Other cores may have gained work (the session was
-                // re-placed); this core's slot stays held until the
-                // stream ends.
-                pumpLocked(launches);
+            std::lock_guard<std::mutex> lock(mutex_);
+            const std::size_t cls =
+                classIndex(run.job->options.admissionClass);
+            run.state->statsSnapshot = run.state->session->stats();
+            if (expired) {
+                expired_.increment();
+                classMetrics_[cls].expired->increment();
+            } else {
+                completed_.increment();
+                classMetrics_[cls].completed->increment();
+                if (result.status == SolveStatus::Solved)
+                    classMetrics_[cls].solved->increment();
+                run.state->solvesCounter->increment();
             }
+            fleet_.onJobExecuted(run.core,
+                                 static_cast<double>(result.deviceSeconds),
+                                 degraded);
+            run.state->running = false;
+            if (!run.state->open && run.state->pending.empty()) {
+                // Deferred from closeSession.
+                retireSessionSeriesLocked(run.id, *run.state);
+                sessions_.erase(run.id);
+                openSessions_.set(
+                    static_cast<std::int64_t>(sessions_.size()));
+            } else if (!run.state->pending.empty()) {
+                placeReadyLocked(run.id, *run.state);
+            }
+            // Other cores may have gained work (the session was
+            // re-placed); this core's slot stays held until the
+            // callback has fired.
+            pumpLocked(launches);
         }
         if (!launches.empty())
             launch(launches);
-        entry.job->callback(std::move(result));
+        run.job->callback(std::move(result));
     }
 
-    std::vector<Launch> launches;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        fleet_.onStreamFinished(stream.core, busy.seconds());
+        fleet_.onStreamFinished(run.core, busy.seconds());
         --activeRuns_;
         pumpLocked(launches);
         // The idle check runs after pumpLocked so follow-on work keeps
         // activeRuns_ nonzero: once a drain observes idle, no code
-        // path of this stream touches the service again, making
+        // path of this job touches the service again, making
         // destruction race-free.
         if (activeRuns_ == 0 && queuedJobs_ == 0)
             idleCv_.notify_all();

@@ -17,7 +17,8 @@
  * submissions into a deterministic execution: requests of the *same*
  * session run strictly in submission order (a session is never on two
  * workers at once), while different sessions run in parallel up to
- * the fleet's slot capacity. Ready sessions are routed onto cores by
+ * the fleet's slot capacity; every dispatch launches exactly one
+ * request onto one run slot. Ready sessions are routed onto cores by
  * the placement scheduler — structure-fingerprint affinity, so
  * same-structure jobs land where the customization artifact is
  * already hot — and drained per-core by smooth weighted
@@ -38,11 +39,12 @@
  * without ever touching the session's solver state.
  *
  * The fleet is also a fault domain: a core that a fault kills or
- * hangs is quarantined (its cache partition invalidated), the jobs it
- * held return to the placement scheduler with their deadline budget
- * decremented by any stall-watchdog charge and re-execute on a
- * healthy core — bitwise identical to an undisturbed run, because a
- * fault only ever fires *before* a job touches its session.
+ * hangs is quarantined (its cache partition invalidated), the job it
+ * was starting and the sessions queued on it return to the placement
+ * scheduler — the job's deadline budget decremented by any
+ * stall-watchdog charge — and re-execute on a healthy core, bitwise
+ * identical to an undisturbed run, because a fault only ever fires
+ * *before* a job touches its session.
  * Quarantined cores earn readmission through exponential-backoff
  * probes on the fleet's deterministic virtual clock.
  */
@@ -58,6 +60,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -87,7 +90,8 @@ struct ServiceConfig
     Real retryAfterFloorSeconds = 0.001;
     /** Per-class weights and depth bounds of the admission plane. */
     AdmissionConfig admission;
-    /** Device-fleet shape: core count, run slots, interleaving. */
+    /** Device-fleet shape: core count, run slots, placement bound,
+     *  fault domain. */
     FleetConfig fleet;
 };
 
@@ -142,7 +146,7 @@ class SolverService
 
     /**
      * Shutdown contract: requests that are already executing (or
-     * fused into a launched stream) run to their real status; requests
+     * launched onto a core) run to their real status; requests
      * still waiting in a queue resolve immediately with
      * SolveStatus::ShuttingDown — shed load, deliberately distinct
      * from Rejected so clients can tell "service went away" from "I
@@ -247,8 +251,6 @@ class SolverService
         SolveCallback callback;
         /** Placement key (structure-only, value-blind). */
         StructureFingerprint fp;
-        /** n + m under the fleet's interleaving threshold. */
-        bool small = false;
         /** Virtual stall-watchdog charges accumulated by failovers
          *  off hung cores; counts against the deadline budget. */
         double stallSeconds = 0.0;
@@ -284,17 +286,13 @@ class SolverService
     };
 
     /** One dispatch decision taken under the lock, launched outside:
-     *  an instruction stream of one or more jobs bound to one core. */
+     *  one session's head job bound to one core. */
     struct Launch
     {
-        struct Entry
-        {
-            SessionId id;
-            SessionState* state;
-            std::shared_ptr<Job> job;
-        };
         std::size_t core = 0;
-        std::vector<Entry> entries;
+        SessionId id = 0;
+        SessionState* state = nullptr;
+        std::shared_ptr<Job> job;
     };
 
     static std::size_t classIndex(AdmissionClass cls)
@@ -309,12 +307,12 @@ class SolverService
     /** Re-place parked sessions once a core is available (locked). */
     void drainUnplacedLocked();
 
-    /** Pop streams off ready cores into `launches` (locked). */
+    /** Pop one job per free run slot into `launches` (locked). */
     void dispatchLocked(std::vector<Launch>& launches);
 
     /**
-     * Run readmission probes, re-place parked sessions, and move
-     * ready sessions into streams up to the fleet's capacity. When
+     * Run readmission probes, re-place parked sessions, and launch
+     * ready sessions' head jobs up to the fleet's capacity. When
      * every core is quarantined with work queued and nothing running,
      * force the virtual clock forward to the next probe so the fleet
      * cannot deadlock waiting for device time that will never accrue.
@@ -322,19 +320,16 @@ class SolverService
     void pumpLocked(std::vector<Launch>& launches);
 
     /**
-     * A fault killed `stream`'s core before entry `from_index`
-     * started. Return entries [from_index, end) to their sessions'
-     * pending queues (front, preserving order), charge the stall
-     * watchdog on a hang, re-place the sessions and the core's drained
-     * ready queue, and count the failovers. Jobs whose session is
-     * closed — or the whole service shutting down — are appended to
-     * `shed` with the status to resolve outside the lock.
+     * A fault killed `run`'s core before its job started. Return the
+     * job to the front of its session's pending queue, charge the
+     * stall watchdog on a hang, re-place the session and the core's
+     * drained ready queue, and count the failover. When the session is
+     * closed — or the whole service shutting down — the job is not
+     * re-queued; the status to resolve it with outside the lock is
+     * returned instead.
      */
-    void failOverStreamLocked(
-        Launch& stream, std::size_t from_index, bool hang,
-        std::vector<Launch>& launches,
-        std::vector<std::pair<std::shared_ptr<Job>, SolveStatus>>&
-            shed);
+    std::optional<SolveStatus> failOverLocked(
+        Launch& run, bool hang, std::vector<Launch>& launches);
 
     /**
      * Evict the newest queued job of the lowest populated class
@@ -358,11 +353,12 @@ class SolverService
     /** Count + histogram a hint about to be attached (locked). */
     void recordRetryHintLocked(AdmissionClass cls, Real hint);
 
-    /** Hand collected streams to the thread pool (lock released). */
+    /** Hand collected launches to the thread pool and empty
+     *  `launches` (lock released). */
     void launch(std::vector<Launch>& launches);
 
-    /** Worker-side execution of one instruction stream. */
-    void runStream(Launch stream);
+    /** Worker-side execution of one launched job. */
+    void runJob(Launch run);
 
     /** Fold a dying session's label series into the retired counter
      *  and drop it from the registry (locked). */
@@ -411,7 +407,7 @@ class SolverService
     /** Ready sessions with no available core to park on (every core
      *  quarantined); re-placed when a probe readmits one. */
     std::deque<SessionId> unplaced_;
-    unsigned activeRuns_ = 0;  ///< streams in flight, fleet-wide
+    unsigned activeRuns_ = 0;  ///< launched jobs in flight, fleet-wide
     std::size_t queuedJobs_ = 0;
     /** Waiting requests per admission class (sums to queuedJobs_). */
     std::array<std::size_t, kAdmissionClassCount> classQueued_{};

@@ -1,10 +1,10 @@
 /**
  * @file
- * Backend subsystem tests: cross-backend solution equivalence, PDHG
- * determinism across thread counts, the Auto pick's bitwise identity
- * with the engine it selects, PDHG's recovery path under injected
- * faults, settings validation, and per-engine telemetry labels and
- * counters.
+ * Backend subsystem tests: cross-backend solution equivalence, ADMM
+ * and PDHG determinism across thread counts, the Auto pick's bitwise
+ * identity with the engine it selects, PDHG's recovery path under
+ * injected faults, settings validation, and per-engine telemetry
+ * labels and counters.
  */
 
 #include <gtest/gtest.h>
@@ -99,6 +99,39 @@ TEST(Backends, CrossBackendSolutionEquivalence)
                 scale,
             1e-3)
             << toString(c.domain);
+    }
+}
+
+TEST(Backends, AdmmDeterministicAcrossThreadCounts)
+{
+    // ADMM on the indirect (PCG) KKT path: the ambient pool width must
+    // not leak into the solve, so every thread count reproduces the
+    // single-thread run bit for bit.
+    const QpProblem qp = generateProblem(Domain::Lasso, 40, 17);
+    OsqpSettings settings = baseSettings();
+    settings.backend = KktBackend::IndirectPcg;
+
+    OsqpResult reference;
+    {
+        NumThreadsScope scope(1);
+        reference = solveWith(qp, settings, BackendKind::Admm);
+    }
+    ASSERT_EQ(reference.info.status, SolveStatus::Solved);
+    ASSERT_GT(reference.info.telemetry.pcgIterationsTotal, 0);
+
+    for (Index threads : {2, 4, 8}) {
+        NumThreadsScope scope(threads);
+        const OsqpResult run =
+            solveWith(qp, settings, BackendKind::Admm);
+        ASSERT_EQ(run.info.status, reference.info.status)
+            << threads << " threads";
+        EXPECT_EQ(run.info.iterations, reference.info.iterations)
+            << threads << " threads";
+        EXPECT_EQ(run.info.telemetry.pcgIterationsTotal,
+                  reference.info.telemetry.pcgIterationsTotal)
+            << threads << " threads";
+        ASSERT_EQ(run.x, reference.x) << threads << " threads";
+        ASSERT_EQ(run.y, reference.y) << threads << " threads";
     }
 }
 

@@ -257,6 +257,25 @@ TEST(RsqpSolverFaults, InjectionIsDeterministic)
     ASSERT_EQ(second.y, first.y);
 }
 
+TEST(RsqpSolverFaults, RepeatedSolvesReportTheirOwnFaults)
+{
+    // The injector outlives each solve; a solve must report only the
+    // faults delivered during it, so the per-solve counts add up to
+    // the injector's running total.
+    const QpProblem qp = generateProblem(Domain::Portfolio, 20, 55);
+    RsqpSolver solver(qp, settingsFor(), injectionCustom(3, 2e-5));
+    Count sum = 0;
+    for (int solve = 0; solve < 3; ++solve) {
+        const RsqpResult result = solver.solve();
+        EXPECT_GT(result.faultsInjected, 0) << "solve " << solve;
+        EXPECT_EQ(result.telemetry.faultsInjected, result.faultsInjected)
+            << "solve " << solve;
+        sum += result.faultsInjected;
+    }
+    ASSERT_NE(solver.machine().faultInjector(), nullptr);
+    EXPECT_EQ(sum, solver.machine().faultInjector()->faultsInjected());
+}
+
 TEST(RsqpSolver, WarmStartSizeMismatchIsNonFatal)
 {
     const QpProblem qp = generateProblem(Domain::Control, 25, 31);

@@ -11,8 +11,9 @@
  * three implement the same canonical 8-lane striped arithmetic.
  *
  * A second battery checks at each forced ISA level that the
- * high-level vector_ops reductions return the same bits under any
- * ambient thread count: a single solve never fans out.
+ * high-level vector_ops reductions, the fused CG kernels and the
+ * reduced-KKT apply return the same bits under any ambient thread
+ * count: a single solve never fans out.
  */
 
 #include <algorithm>
@@ -25,8 +26,10 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hpp"
+#include "linalg/kkt.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "linalg/vector_ops.hpp"
+#include "problems/suite.hpp"
 #include "tests/test_util.hpp"
 
 namespace rsqp
@@ -375,31 +378,55 @@ TEST_F(SimdKernelLevels, VectorOpsBitwiseInvariantAcrossIsaLevels)
 
 TEST_F(SimdKernelLevels, VectorOpsBitwiseInvariantAcrossThreadCounts)
 {
-    // The fixed-grain chunked reduction contract, re-pinned at every
-    // dispatched ISA level: 1/2/4/8 threads must agree bitwise.
+    // The kernel-level thread-axis guard: dot, the fused CG kernels
+    // and the reduced-KKT apply must return the same bits under 1/2/4/8
+    // ambient threads, re-pinned at every dispatched ISA level (a
+    // single solve never fans out). Lengths 7 and kParallelThreshold-1
+    // take the single-range path, 50000 the chunked reduction path with
+    // a ragged last chunk; the lasso operator has n = 8400, above
+    // kParallelThreshold.
     Rng rng(151);
-    const Index n = 50000;
-    const Vector x = randomVector(n, rng);
-    const Vector y = randomVector(n, rng);
+    const QpProblem qp = generateProblem(Domain::Lasso, 1200, 78);
+    const Vector rho(static_cast<std::size_t>(qp.numConstraints()), 0.4);
+    const ReducedKktOperator op(qp.pUpper, qp.a, 1e-6, rho);
+    const Vector kkt_in = randomVector(qp.numVariables(), rng);
 
-    for (IsaLevel level : levels_) {
-        simd::forceIsaLevel(level);
-        std::vector<std::uint64_t> reference;
-        for (Index threads : {1, 2, 4, 8}) {
-            NumThreadsScope scope(threads);
-            Vector x2 = x;
-            Vector r2 = y;
-            std::vector<std::uint64_t> got;
-            got.push_back(bits(dot(x, y)));
-            got.push_back(bits(normInf(x)));
-            got.push_back(bits(axpyDot(0.7, x, x2, y)));
-            got.push_back(bits(xMinusAlphaPDot(0.3, y, x2, y, r2)));
-            got.push_back(bits(normInfChecked(r2)));
-            if (reference.empty())
-                reference = got;
-            else
-                ASSERT_EQ(got, reference)
-                    << isaLevelName(level) << " threads=" << threads;
+    for (Index n : {Index{7}, kParallelThreshold - 1, Index{50000}}) {
+        const Vector x = randomVector(n, rng);
+        const Vector y = randomVector(n, rng);
+        Vector inv_diag = randomVector(n, rng);
+        for (Real& v : inv_diag)
+            v = 0.5 + std::abs(v);
+        for (IsaLevel level : levels_) {
+            simd::forceIsaLevel(level);
+            std::vector<std::uint64_t> reference;
+            std::vector<Vector> reference_out;
+            for (Index threads : {1, 2, 4, 8}) {
+                NumThreadsScope scope(threads);
+                Vector x2 = x;
+                Vector r2 = y;
+                Vector d(x.size());
+                Vector kkt_out;
+                std::vector<std::uint64_t> got;
+                got.push_back(bits(dot(x, y)));
+                got.push_back(bits(normInf(x)));
+                got.push_back(bits(axpyDot(0.7, x, x2, y)));
+                got.push_back(bits(xMinusAlphaPDot(0.3, y, x2, y, r2)));
+                got.push_back(bits(precondApplyDot(inv_diag, r2, d)));
+                got.push_back(bits(normInfChecked(r2)));
+                op.apply(kkt_in, kkt_out);
+                std::vector<Vector> out = {x2, r2, d, kkt_out};
+                if (reference.empty()) {
+                    reference = got;
+                    reference_out = std::move(out);
+                    continue;
+                }
+                ASSERT_EQ(got, reference) << isaLevelName(level) << " n="
+                                          << n << " threads=" << threads;
+                for (std::size_t i = 0; i < out.size(); ++i)
+                    expectBitwiseEqual(out[i], reference_out[i],
+                                       isaLevelName(level));
+            }
         }
     }
 }

@@ -45,7 +45,7 @@ classOptions(AdmissionClass cls)
 /**
  * Freezes the admission queue deterministically: submits one head
  * request whose completion callback blocks the worker until
- * release(). Per-entry callbacks run before the stream releases its
+ * release(). A request's callback runs before its job releases the
  * core slot, so with slotsPerCore = 1 nothing else can dispatch
  * while the gate is held — every request submitted in between sits
  * in a queue in a fully observable state.
@@ -55,12 +55,17 @@ class SlotGate
   public:
     SlotGate(SolverService& service, SessionId id, const QpProblem& qp)
     {
+        // Both futures are taken before the worker can run: once it
+        // signals `started_`, the gate may be released and destroyed
+        // while the worker still waits, so it waits on its own copy.
+        std::future<void> started = started_.get_future();
+        std::shared_future<void> released = released_.get_future().share();
         service.submitAsync(id, qp, SubmitOptions{},
-                            [this](SessionResult) {
+                            [this, released](SessionResult) {
                                 started_.set_value();
-                                released_.get_future().wait();
+                                released.wait();
                             });
-        started_.get_future().wait();
+        started.wait();
     }
 
     ~SlotGate() { release(); }

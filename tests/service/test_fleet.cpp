@@ -243,40 +243,6 @@ TEST(Fleet, CachePartitionHitsOnTheAffinityCore)
     EXPECT_EQ(coresWithTraffic, 1);
 }
 
-TEST(Fleet, SmallJobsFuseIntoInterleavedStreams)
-{
-    ServiceConfig config = fleetConfig(2);
-    config.fleet.interleaveWidth = 4;
-    config.fleet.smallJobThreshold = 4096;  // everything is small
-    SolverService service(config);
-
-    const QpProblem qp = generateProblem(Domain::Control, 30, 13);
-    std::vector<SessionId> ids;
-    for (int i = 0; i < 16; ++i)
-        ids.push_back(service.openSession(deviceConfig()));
-    std::vector<std::future<SessionResult>> futures;
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        futures.push_back(service.submit(
-            ids[i], withScaledCost(qp, 1.0 + 0.01 * double(i))));
-    for (auto& future : futures)
-        EXPECT_EQ(future.get().status, SolveStatus::Solved);
-    service.waitIdle();
-
-    Count jobs = 0;
-    Count streams = 0;
-    Count interleaved = 0;
-    for (const CoreStats& core : service.fleetStats().cores) {
-        jobs += core.jobs;
-        streams += core.streams;
-        interleaved += core.interleavedJobs;
-    }
-    EXPECT_EQ(jobs, 16);
-    // 16 sessions over 2 single-slot cores: the backlog must have
-    // fused at least once, so strictly fewer streams than jobs.
-    EXPECT_LT(streams, jobs);
-    EXPECT_GE(interleaved, 2);
-}
-
 TEST(Fleet, ResultsAreBitwiseIdenticalAcrossCoreCounts)
 {
     std::vector<QpProblem> workload;
@@ -306,19 +272,27 @@ TEST(Fleet, ResultsAreBitwiseIdenticalAcrossCoreCounts)
 
 TEST(Fleet, MetricsExposePerCoreSeries)
 {
-    SolverService service(fleetConfig(4));
-    const SessionId id = service.openSession(deviceConfig());
-    ASSERT_EQ(service
-                  .solve(id, generateProblem(Domain::Control, 25, 19))
-                  .status,
-              SolveStatus::Solved);
-    // The stream's busy-time accounting lands when its run slot is
+    // 16 sessions of one small structure (n + m = 110) over 2
+    // single-slot cores: the backlog queues several ready sessions on
+    // each core at once.
+    SolverService service(fleetConfig(2));
+    const QpProblem qp = generateProblem(Domain::Control, 3, 13);
+    std::vector<SessionId> ids;
+    for (int i = 0; i < 16; ++i)
+        ids.push_back(service.openSession(deviceConfig()));
+    std::vector<std::future<SessionResult>> futures;
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        futures.push_back(service.submit(
+            ids[i], withScaledCost(qp, 1.0 + 0.01 * double(i))));
+    for (auto& future : futures)
+        EXPECT_EQ(future.get().status, SolveStatus::Solved);
+    // A stream's busy-time accounting lands when its run slot is
     // released, which the resolved future does not wait for.
     service.waitIdle();
 
     const std::string text = service.metricsText();
-    EXPECT_NE(text.find("rsqp_fleet_cores 4"), std::string::npos);
-    for (int core = 0; core < 4; ++core) {
+    EXPECT_NE(text.find("rsqp_fleet_cores 2"), std::string::npos);
+    for (int core = 0; core < 2; ++core) {
         const std::string label =
             "{core=\"" + std::to_string(core) + "\"}";
         EXPECT_NE(
@@ -335,8 +309,10 @@ TEST(Fleet, MetricsExposePerCoreSeries)
     for (const CoreStats& core : service.fleetStats().cores) {
         jobs += core.jobs;
         busy += core.busySeconds;
+        // Every dispatch is one request, backlog or not.
+        EXPECT_EQ(core.streams, core.jobs) << "core " << core.core;
     }
-    EXPECT_EQ(jobs, 1);
+    EXPECT_EQ(jobs, 16);
     EXPECT_GT(busy, 0.0);
 }
 
@@ -395,10 +371,7 @@ TEST(Fleet, ConcurrentMixedStructureSubmitsStayConsistent)
     // TSan target: four client threads race submits across a 4-core
     // fleet; every admitted request must resolve and the books must
     // balance.
-    ServiceConfig config = fleetConfig(4);
-    config.fleet.interleaveWidth = 2;
-    config.fleet.smallJobThreshold = 4096;
-    SolverService service(config);
+    SolverService service(fleetConfig(4));
 
     constexpr int kClients = 4;
     constexpr int kRequests = 6;

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.hpp"
 #include "linalg/kkt.hpp"
 #include "linalg/vector_ops.hpp"
 #include "solvers/pcg.hpp"
@@ -165,56 +164,6 @@ TEST(PcgSettings, AdaptiveToleranceSchedule)
 
     settings.adaptiveTolerance = false;
     EXPECT_DOUBLE_EQ(settings.effectiveEpsRel(0), 1e-7);
-}
-
-TEST(ThreadedPcg, SolveBitwiseIdenticalAcrossThreadCounts)
-{
-    // A diagonally dominant tridiagonal operator large enough to push
-    // every reduction in the loop onto the chunked path. The ambient
-    // pool width must not leak into the solve.
-    const Index n = 3 * kParallelThreshold;
-    auto apply_k = [n](const Vector& in, Vector& out) {
-        out.resize(in.size());
-        for (Index i = 0; i < n; ++i) {
-            const auto s = static_cast<std::size_t>(i);
-            Real v = 4.0 * in[s];
-            if (i > 0)
-                v -= in[s - 1];
-            if (i + 1 < n)
-                v -= in[s + 1];
-            out[s] = v;
-        }
-    };
-    const Vector diag(static_cast<std::size_t>(n), 4.0);
-    const JacobiPreconditioner precond(diag);
-    Rng rng(31);
-    Vector b(static_cast<std::size_t>(n));
-    for (Real& v : b)
-        v = rng.normal();
-    PcgSettings settings;
-    settings.adaptiveTolerance = false;
-    settings.epsRel = 1e-10;
-
-    Vector x_ref(static_cast<std::size_t>(n), 0.0);
-    PcgResult ref;
-    {
-        NumThreadsScope scope(1);
-        ref = pcgSolve(apply_k, precond, b, x_ref, settings);
-    }
-    ASSERT_TRUE(ref.converged);
-    ASSERT_GT(ref.iterations, 2);
-
-    for (Index threads : {2, 4, 8}) {
-        NumThreadsScope scope(threads);
-        Vector x(static_cast<std::size_t>(n), 0.0);
-        const PcgResult result =
-            pcgSolve(apply_k, precond, b, x, settings);
-        EXPECT_EQ(result.iterations, ref.iterations);
-        EXPECT_EQ(result.residualNorm, ref.residualNorm);
-        // The whole iterate must match bit for bit, not within an
-        // epsilon: the solve is serial and its chunk order fixed.
-        ASSERT_EQ(x, x_ref) << "threads " << threads;
-    }
 }
 
 TEST_F(PcgFixture, ReusedWorkspaceGivesIdenticalResults)
